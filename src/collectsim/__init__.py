@@ -8,43 +8,4 @@ for this system, estimates steady-state delays, and evaluates the matching
 closed-form bounds and policy delay formulas.
 """
 
-from .bounds import (BoundReport, bound_report, excess_cost,
-                     expected_excess_distance, expected_excess_floor,
-                     multi_lb_avg, multi_lb_mdm, multi_lb_mdm_raw,
-                     multi_lb_partition_class, multi_partitioning_delay,
-                     partitioning_delay, pk_mg1_wait, single_collector_lb)
-from .commmodel import (ReceptionModel, in_range, reception_point,
-                        reception_radius)
-from .core import (ConfigurationError, ContractViolation, Message, Point,
-                   RegionGrid, ScenarioConfig, build_grid, distance,
-                   uniform_point)
-from .engine import (CollectorState, EventTrace, Receive, Simulation,
-                     StopRule, TravelTo, Wait, generate_arrivals, run,
-                     step_policy)
-from .policies import (Fcfs, FcfsReturn, GridPartitioning, MultiPartitioning,
-                       PolicyKind, TspnCyclic, make_policy)
-from .stats import (ScalingFit, SimResult, TraceStats, detect_divergence,
-                    pool_stats, scaling_fit, summarize, summarize_pooled,
-                    trace_stats)
-from .tspn import (Tour, TourStop, grid_cover_tour, nn_tspn_tour, plan_tour,
-                   tour_cap, tsp_upper_bound)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundReport", "CollectorState", "ConfigurationError",
-    "ContractViolation", "EventTrace", "Fcfs", "FcfsReturn",
-    "GridPartitioning", "Message", "MultiPartitioning", "Point",
-    "PolicyKind", "ReceptionModel", "Receive", "RegionGrid", "ScalingFit",
-    "ScenarioConfig", "SimResult", "Simulation", "StopRule", "Tour",
-    "TourStop", "TraceStats", "TravelTo", "TspnCyclic", "Wait",
-    "bound_report", "build_grid", "detect_divergence", "distance",
-    "excess_cost", "expected_excess_distance", "expected_excess_floor",
-    "generate_arrivals", "grid_cover_tour", "in_range", "make_policy",
-    "multi_lb_avg", "multi_lb_mdm", "multi_lb_mdm_raw",
-    "multi_lb_partition_class", "multi_partitioning_delay", "nn_tspn_tour",
-    "partitioning_delay", "pk_mg1_wait", "plan_tour", "pool_stats",
-    "reception_point", "reception_radius", "run", "scaling_fit",
-    "single_collector_lb", "step_policy", "summarize", "summarize_pooled",
-    "tour_cap", "trace_stats", "tsp_upper_bound", "uniform_point",
-]

@@ -3,19 +3,17 @@
 Every function returns a mean delay (or mean wait) in time units for a given
 scenario, evaluating to ``inf`` whenever the offered load makes the system
 unstable. The travel components rest on the mean excess distance from the
-region center to a uniform point beyond the reception radius, computed here
-by adaptive quadrature.
+region center to a uniform point beyond the reception radius, evaluated here
+in closed form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from scipy import integrate
+from dataclasses import dataclass, replace
 
 from .commmodel import reception_radius
-from .core import ConfigurationError, ScenarioConfig, build_grid
+from .core import ConfigurationError, ScenarioConfig, build_grid, fleet_side
 
 # Mean distance from the center of a unit-area square to a uniform point,
 # rounded as conventionally quoted; the loose travel floor uses this constant
@@ -39,24 +37,33 @@ def pk_mg1_wait(arrival_rate: float, reception_time: float) -> float:
     return arrival_rate * reception_time ** 2 / (2.0 * (1.0 - rho))
 
 
+def _sec_cubed_antiderivative(theta: float) -> float:
+    sec, tan = 1.0 / math.cos(theta), math.tan(theta)
+    return (sec * tan + math.log(sec + tan)) / 2.0
+
+
 def expected_excess_distance(area: float, radius: float) -> float:
     """E[max(0, ||U - center|| - radius)] for U uniform on a square of the
-    given area, by adaptive quadrature (absolute tolerance 1e-6 * sqrt(area))."""
+    given area, in closed form."""
     _require_positive("area", area)
     if radius < 0:
         raise ConfigurationError(f"radius must be non-negative, got {radius}")
     half = math.sqrt(area) / 2.0
     if radius >= half * math.sqrt(2.0):
         return 0.0  # reception disk covers the whole square
-    # integrate over one quadrant around the center, symmetry gives the rest
-    tol = 1e-6 * math.sqrt(area) * area / 4.0
-
-    def integrand(y: float, x: float) -> float:
-        return max(0.0, math.hypot(x, y) - radius)
-
-    value, _ = integrate.dblquad(integrand, 0.0, half, 0.0, half,
-                                 epsabs=tol * 0.1, epsrel=1e-10)
-    return 4.0 * value / area
+    # One quadrant is twice the polar integral below its diagonal: at angle
+    # theta the square's edge lies at R = half*sec(theta), the excess over
+    # the ray is R^3/3 - radius*R^2/2 + radius^3/6, and no mass lies beyond
+    # the disk before theta0 = arccos(half/radius) when radius > half.
+    theta0 = math.acos(half / radius) if radius > half else 0.0
+    quadrant = 2.0 * (
+        half ** 3 / 3.0 * (_sec_cubed_antiderivative(math.pi / 4.0)
+                           - _sec_cubed_antiderivative(theta0))
+        - radius * half ** 2 / 2.0 * (1.0 - math.tan(theta0))
+        + radius ** 3 / 6.0 * (math.pi / 4.0 - theta0))
+    # near the covering radius the terms cancel to a round-off residue that
+    # can fall just below zero
+    return max(0.0, 4.0 * quadrant / area)
 
 
 def expected_excess_floor(area: float, radius: float) -> float:
@@ -77,7 +84,7 @@ def _radius(config: ScenarioConfig) -> float:
 def single_collector_lb(config: ScenarioConfig, loose: bool = False) -> float:
     """Lower bound on mean delay achievable by any single-collector policy:
     residual travel to the reception disk, plus the M/D/1 wait, plus the
-    reception time. ``loose=True`` swaps the quadrature excess distance for
+    reception time. ``loose=True`` swaps the closed-form excess distance for
     the 0.383*sqrt(A) - r floor."""
     rho = config.arrival_rate * config.reception_time
     if rho >= 1.0:
@@ -145,16 +152,7 @@ def multi_lb_avg(config: ScenarioConfig) -> float:
     """Average of the queueing bound (unfloored) and the partition-class
     bound; a valid lower bound that stays informative across the whole load
     range."""
-    rho = config.load
-    if rho >= 1.0:
-        return math.inf
-    m = config.collectors
-    s = config.reception_time
-    floor = max(0.0, (2.0 / 3.0) * math.sqrt(
-        config.area / (m * math.pi)) - _radius(config))
-    return (config.arrival_rate * s ** 2 / (4.0 * m * m * (1.0 - rho))
-            + floor / (2.0 * config.speed * (1.0 - rho))
-            - (m - 1) / m * (s / 4.0) + s)
+    return (multi_lb_mdm_raw(config) + multi_lb_partition_class(config)) / 2.0
 
 
 def multi_partitioning_delay(config: ScenarioConfig) -> float:
@@ -162,21 +160,10 @@ def multi_partitioning_delay(config: ScenarioConfig) -> float:
     the m equal square subregions runs the single-collector sweep on its own
     arrival stream of rate lambda/m. Requires m to be a perfect square."""
     m = config.collectors
-    j = math.isqrt(m)
-    if j * j != m:
-        raise ConfigurationError(
-            f"partitioned operation needs a square number of collectors, got {m}")
-    rho = config.load
-    if rho >= 1.0:
-        return math.inf
-    s = config.reception_time
-    grid = build_grid(config.area / m, _radius(config))
-    if grid.cells_per_side > 1:
-        hop = math.sqrt(2.0) * grid.effective_radius
-    else:
-        hop = 0.0
-    travel = (grid.num_cells - rho) * hop / (2.0 * config.speed * (1.0 - rho))
-    return config.arrival_rate * s ** 2 / (2.0 * m * (1.0 - rho)) + travel + s
+    fleet_side(m)
+    return partitioning_delay(replace(config, area=config.area / m,
+                                      arrival_rate=config.arrival_rate / m,
+                                      collectors=1))
 
 
 def excess_cost(x: float, c1: float, c2: float) -> float:
@@ -206,9 +193,10 @@ class BoundReport:
 
 def bound_report(config: ScenarioConfig) -> BoundReport:
     """Evaluate all closed forms for one scenario."""
-    m = config.collectors
-    j = math.isqrt(m)
-    multi_part = multi_partitioning_delay(config) if j * j == m else None
+    try:
+        multi_part = multi_partitioning_delay(config)
+    except ConfigurationError:  # not a square fleet
+        multi_part = None
     return BoundReport(
         load=config.load,
         reception_radius=_radius(config),

@@ -105,6 +105,17 @@ class ScenarioConfig:
         return self.arrival_rate * self.reception_time / self.collectors
 
 
+def fleet_side(collectors: int) -> int:
+    """Subregions per side when a fleet splits the square region into one
+    equal square subregion per collector; only square fleets can."""
+    side = math.isqrt(collectors)
+    if side * side != collectors:
+        raise ConfigurationError(
+            f"partitioned operation needs a square number of collectors, "
+            f"got {collectors}")
+    return side
+
+
 # --------------------------------------------------------------------------
 # message record
 

@@ -83,7 +83,6 @@ class CollectorState:
     target: Point | None = None
     receiving_id: int | None = None
     phase_end: float | None = None
-    subregion: int | None = None
     receiving_accum: float = 0.0
     receiving_since: float | None = None
 

@@ -15,7 +15,7 @@ from enum import Enum
 
 from .commmodel import in_range, reception_point
 from .core import (ConfigurationError, Message, Point, ScenarioConfig,
-                   build_grid)
+                   build_grid, fleet_side)
 from .engine import Action, Receive, Simulation, TravelTo, WAIT
 from .tspn import plan_tour
 
@@ -186,11 +186,7 @@ class MultiPartitioning:
 
     def attach(self, sim: Simulation) -> None:
         m = sim.config.collectors
-        j = math.isqrt(m)
-        if j * j != m:
-            raise ConfigurationError(
-                f"multi_partitioning needs a square number of collectors, "
-                f"got {m}")
+        j = fleet_side(m)
         self.per_side = j
         self.sub_side = sim.config.side / j
         self.inners: list[_SingleCollectorPolicy] = []
@@ -203,7 +199,6 @@ class MultiPartitioning:
             inner = _SINGLE_KINDS[self.inner_kind](
                 collector_id=i, origin=origin, area=area)
             inner.attach(sim)
-            sim.collectors[i].subregion = i
             self.inners.append(inner)
 
     def subregion_of(self, p: Point) -> int:
@@ -233,11 +228,7 @@ def make_policy(kind: PolicyKind | str, config: ScenarioConfig,
     count against the chosen kind."""
     kind = PolicyKind(kind)
     if kind == PolicyKind.MULTI_PARTITIONING:
-        j = math.isqrt(config.collectors)
-        if j * j != config.collectors:
-            raise ConfigurationError(
-                f"multi_partitioning needs a square number of collectors, "
-                f"got {config.collectors}")
+        fleet_side(config.collectors)
         return MultiPartitioning(inner=PolicyKind(inner))
     if config.collectors != 1:
         raise ConfigurationError(

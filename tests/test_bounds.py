@@ -1,4 +1,5 @@
-"""Closed-form delay bounds against hand-computed and quadrature oracles."""
+"""Closed-form delay bounds against hand-computed, frozen and Monte Carlo
+oracles."""
 from __future__ import annotations
 
 import dataclasses
@@ -68,15 +69,19 @@ def test_excess_distance_frozen_values():
         8.5987685219, abs=1e-6)
     assert expected_excess_distance(200.0, 2.2) == pytest.approx(
         3.26650360, abs=1e-6)
+    # radius beyond the half side: the disk pokes out through the edges
+    assert expected_excess_distance(1.0, 0.6) == pytest.approx(
+        0.0017179920508808, rel=1e-9)
+    assert expected_excess_distance(50.0, 4.9) == pytest.approx(
+        2.68038587919e-05, rel=1e-9)
 
 
 def test_excess_distance_vanishes_when_disk_covers_square():
     # half-diagonal of a square of area A is sqrt(A/2)
     assert expected_excess_distance(50.0, 5.0) == 0.0
     assert expected_excess_distance(50.0, 5.0 + 1e-9) == 0.0
-    # just below the covering radius a sliver of the square pokes out of the
-    # disk (probe 2% below: any closer and the mass sits beneath the
-    # quadrature's 1e-6 * sqrt(area) resolution)
+    # 2% below the covering radius the four corners of the square still
+    # poke out of the disk
     assert expected_excess_distance(50.0, 4.9) > 0.0
 
 
@@ -117,8 +122,9 @@ def test_excess_floor_values_and_clamp():
        frac=st.floats(min_value=0.0, max_value=0.95))
 def test_excess_floor_never_exceeds_true_excess(area, frac):
     # the floor's 0.383 constant is rounded up from the exact mean center
-    # distance 0.3825978582, so allow exactly that rounding gap (plus the
-    # quadrature tolerance) before calling the floor an overshoot
+    # distance 0.3825978582, so allow exactly that rounding gap (plus a
+    # 2e-6 * sqrt(area) numerical margin) before calling the floor an
+    # overshoot
     radius = frac * math.sqrt(area / 2.0)
     rounding_gap = (0.383 - 0.3825978582) * math.sqrt(area)
     assert expected_excess_floor(area, radius) <= (
