@@ -420,7 +420,8 @@ def main(argv=None) -> int:
         p.add_argument("--seeds", default=None,
                        help="override run.seeds, e.g. 4,5,6")
         p.add_argument("--parallel", type=int, default=1,
-                       help="worker processes for independent cells")
+                       help="worker processes for independent cells; only "
+                            "run uses it, bounds and trace ignore it")
 
     args = parser.parse_args(argv)
     try:

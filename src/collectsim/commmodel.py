@@ -8,9 +8,8 @@ into a disk of fixed radius around the message location.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import ConfigurationError, Point, ScenarioConfig, distance
+from .core import ConfigurationError, Point, distance
 
 # Relative slack applied when testing membership of the reception disk, so a
 # collector standing on a boundary point is in range despite floating-point
@@ -66,16 +65,3 @@ def reception_point(collector: Point, message: Point, radius: float) -> Point:
         inset = max(2.0 * inset, radius * _RANGE_SLACK, math.ulp(radius))
     return message
 
-
-@dataclass(frozen=True, slots=True)
-class ReceptionModel:
-    """Reception disk radius plus the fixed per-message reception time."""
-
-    radius: float
-    reception_time: float
-
-    @classmethod
-    def for_scenario(cls, config: ScenarioConfig) -> "ReceptionModel":
-        return cls(radius=reception_radius(config.snr_ref, config.snr_threshold,
-                                           config.path_loss),
-                   reception_time=config.reception_time)

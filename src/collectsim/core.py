@@ -7,7 +7,7 @@ points and the square service grid a collector sweeps. No simulation state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class ConfigurationError(ValueError):
@@ -149,64 +149,28 @@ class Message:
 # service grid
 
 
-def _even_cycle(k: int) -> list[tuple[int, int]]:
-    # Hamiltonian cycle on the k x k grid graph (k even): sweep the bottom
-    # row, serpentine the columns 1..k-1 above it, come back down column 0.
-    order = [(col, 0) for col in range(k)]
-    for row in range(1, k):
-        cols = range(k - 1, 0, -1) if row % 2 == 1 else range(1, k)
-        order.extend((col, row) for col in cols)
-    order.extend((0, row) for row in range(k - 1, 0, -1))
-    return order
-
-
-def _odd_cycle(k: int) -> list[tuple[int, int]]:
-    # No Hamiltonian cycle exists for odd k (odd cell count on a bipartite
-    # graph), so walk concentric rings inward; every hop is unit except the
-    # final diagonal from the center cell back to the corner.
-    order: list[tuple[int, int]] = []
-    for ring in range((k + 1) // 2):
-        lo, hi = ring, k - 1 - ring
-        if lo == hi:
-            order.append((lo, lo))
-            break
-        order.extend((lo, y) for y in range(lo, hi + 1))
-        order.extend((x, hi) for x in range(lo + 1, hi + 1))
-        order.extend((hi, y) for y in range(hi - 1, lo - 1, -1))
-        order.extend((x, lo) for x in range(hi - 1, lo, -1))
-    return order
-
-
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class RegionGrid:
     """Square region split into k x k equal cells with a cyclic visit order.
 
-    ``cell_centers`` lists the centers in visit order; consecutive entries
-    are exactly ``cell_side`` apart. The wrap-around hop from the last center
-    back to the first (``closing_edge``) is ``cell_side`` for even k, a
-    diagonal from the central cell for odd k, and zero for k = 1.
-    ``effective_radius`` is the largest distance from a cell center to any
-    point of its cell, cell_side / sqrt(2).
+    Cells are numbered row-major, ``col + k * row``. The visit order
+    (``cycle``, ``visit_rank``) makes every hop between consecutive cells
+    exactly ``cell_side`` long. For even k it sweeps the bottom row,
+    serpentines columns 1..k-1 upward and comes back down column 0, a
+    Hamiltonian cycle. For odd k no such cycle exists (odd cell count on a
+    bipartite graph), so it walks concentric rings inward and closes with the
+    diagonal from the central cell back to the corner. ``effective_radius``
+    is the largest distance from a cell center to any point of its cell,
+    cell_side / sqrt(2).
     """
 
     origin: Point
     side: float
     cells_per_side: int
-    cell_side: float
-    cell_centers: tuple[Point, ...]
-    _position: dict[tuple[int, int], int] = field(repr=False, default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if not self._position:
-            k = self.cells_per_side
-            cycle = [(0, 0)] if k == 1 else (
-                _even_cycle(k) if k % 2 == 0 else _odd_cycle(k))
-            self._position = {cell: i for i, cell in enumerate(cycle)}
-            half = self.cell_side / 2.0
-            self.cell_centers = tuple(
-                Point(self.origin.x + col * self.cell_side + half,
-                      self.origin.y + row * self.cell_side + half)
-                for col, row in cycle)
+    @property
+    def cell_side(self) -> float:
+        return self.side / self.cells_per_side
 
     @property
     def num_cells(self) -> int:
@@ -223,27 +187,73 @@ class RegionGrid:
 
     @property
     def closing_edge(self) -> float:
-        if self.num_cells == 1:
+        """Hop from the last cell of the cycle back to the first."""
+        k = self.cells_per_side
+        if k == 1:
             return 0.0
-        return distance(self.cell_centers[-1], self.cell_centers[0])
+        if k % 2 == 0:
+            return self.cell_side
+        return (k // 2) * math.sqrt(2.0) * self.cell_side
 
     @property
     def cycle_length(self) -> float:
         """Total length of the closed sweep through every cell center."""
-        hops = sum(distance(self.cell_centers[i], self.cell_centers[i + 1])
-                   for i in range(len(self.cell_centers) - 1))
-        return hops + self.closing_edge
+        return (self.num_cells - 1) * self.cell_side + self.closing_edge
 
-    def cell_index(self, p: Point) -> int:
-        """Visit-order index of the cell containing ``p``.
+    def cell_of(self, p: Point) -> int:
+        """Row-major number of the cell containing ``p``.
 
-        Points on a shared cell edge go to the higher-indexed row/column;
+        Points on a shared cell edge go to the higher-numbered row/column;
         points outside the region clamp to the nearest boundary cell.
         """
         k = self.cells_per_side
-        col = min(k - 1, max(0, int((p.x - self.origin.x) / self.cell_side)))
-        row = min(k - 1, max(0, int((p.y - self.origin.y) / self.cell_side)))
-        return self._position[(col, row)]
+        cell_side = self.side / k
+        col = min(k - 1, max(0, int((p.x - self.origin.x) / cell_side)))
+        row = min(k - 1, max(0, int((p.y - self.origin.y) / cell_side)))
+        return col + k * row
+
+    def cell_center(self, cell: int) -> Point:
+        """Center of a cell, within ``effective_radius`` of all of it."""
+        k = self.cells_per_side
+        row, col = divmod(cell, k)
+        cell_side = self.side / k
+        half = cell_side / 2.0
+        return Point(self.origin.x + col * cell_side + half,
+                     self.origin.y + row * cell_side + half)
+
+    def visit_rank(self, cell: int) -> int:
+        """Position of a cell in the visit order."""
+        k = self.cells_per_side
+        row, col = divmod(cell, k)
+        if k % 2 == 0:
+            # bottom row rightward, rows 1..k-1 serpentine over columns
+            # 1..k-1 (odd rows leftward), then column 0 downward
+            if row == 0:
+                return col
+            if col == 0:
+                return k * k - row
+            step = k - 1 - col if row % 2 else col - 1
+            return k + (row - 1) * (k - 1) + step
+        # rings inward, each up its left column, right along its top, down
+        # its right column and left along its bottom
+        ring = min(col, row, k - 1 - col, k - 1 - row)
+        lo, hi = ring, k - 1 - ring
+        n = hi - lo
+        before = 4 * ring * (k - ring)  # cells on the outer rings
+        if col == lo:
+            return before + row - lo
+        if row == hi:
+            return before + n + col - lo
+        if col == hi:
+            return before + 2 * n + hi - row
+        return before + 3 * n + hi - col
+
+    def cycle(self) -> list[int]:
+        """Every cell, in visit order."""
+        order = [0] * self.num_cells
+        for cell in range(self.num_cells):
+            order[self.visit_rank(cell)] = cell
+        return order
 
 
 def build_grid(area: float, radius: float,
@@ -263,5 +273,4 @@ def build_grid(area: float, radius: float,
     ratio = side / (math.sqrt(2.0) * radius)
     # back off one ulp-ish so exact integer ratios do not round up
     k = max(1, math.ceil(ratio * (1.0 - 1e-12)))
-    return RegionGrid(origin=origin, side=side, cells_per_side=k,
-                      cell_side=side / k, cell_centers=())
+    return RegionGrid(origin=origin, side=side, cells_per_side=k)

@@ -11,11 +11,11 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
-from .commmodel import ReceptionModel, in_range
+from .commmodel import in_range, reception_radius
 from .core import (ConfigurationError, ContractViolation, Message, Point,
                    ScenarioConfig, distance, uniform_point)
 
@@ -53,7 +53,6 @@ Action = Wait | TravelTo | Receive
 WAIT = Wait()
 
 
-@runtime_checkable
 class Policy(Protocol):
     name: str
 
@@ -185,8 +184,8 @@ class Simulation:
         self.config = config
         self.policy = policy
         self.stop = stop if stop is not None else StopRule(max_messages=50_000)
-        self.model = ReceptionModel.for_scenario(config)
-        self.radius = self.model.radius
+        self.radius = reception_radius(config.snr_ref, config.snr_threshold,
+                                       config.path_loss)
         self.rng = np.random.default_rng(config.seed)
         self.time = 0.0
         self.messages: list[Message] = []
@@ -244,7 +243,7 @@ class Simulation:
         collector.phase = "receiving"
         collector.receiving_id = msg.id
         collector.receiving_since = self.time
-        collector.phase_end = self.time + self.model.reception_time
+        collector.phase_end = self.time + self.config.reception_time
         self._push(collector.phase_end, _RECEPTION_DONE, collector.id)
 
     # -- event handlers
@@ -275,7 +274,7 @@ class Simulation:
     def _handle_reception_done(self, collector: CollectorState) -> None:
         msg = self.messages[collector.receiving_id]
         msg.departure_time = self.time
-        collector.receiving_accum += self.model.reception_time
+        collector.receiving_accum += self.config.reception_time
         collector.receiving_since = None
         collector.receiving_id = None
         collector.phase = "idle"

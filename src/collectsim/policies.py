@@ -14,8 +14,8 @@ from collections import deque
 from enum import Enum
 
 from .commmodel import in_range, reception_point
-from .core import (ConfigurationError, Message, Point, ScenarioConfig,
-                   build_grid, fleet_side)
+from .core import (ConfigurationError, Message, Point, RegionGrid,
+                   ScenarioConfig, build_grid, fleet_side)
 from .engine import Action, Receive, Simulation, TravelTo, WAIT
 from .tspn import plan_tour
 
@@ -153,23 +153,26 @@ class GridPartitioning(_SingleCollectorPolicy):
     def attach(self, sim: Simulation) -> None:
         origin, area = self._region(sim)
         self.grid = build_grid(area, sim.radius, origin)
+        # queues are indexed by cell number, stops by visit order
         self.queues = [deque() for _ in range(self.grid.num_cells)]
+        self.stops = [(self.grid.cell_center(cell), self.queues[cell])
+                      for cell in self.grid.cycle()]
         self.cursor = 0
-        sim.collectors[self.collector_id].position = self.grid.cell_centers[0]
+        sim.collectors[self.collector_id].position = self.stops[0][0]
 
     def on_arrival(self, sim: Simulation, msg: Message) -> None:
-        self.queues[self.grid.cell_index(msg.location)].append(msg.id)
+        self.queues[self.grid.cell_of(msg.location)].append(msg.id)
 
     def next_action(self, sim: Simulation, collector_id: int) -> Action:
-        queue = self.queues[self.cursor]
+        queue = self.stops[self.cursor][1]
         if queue:
             return Receive(queue.popleft())
-        if self.grid.num_cells == 1:
+        if len(self.stops) == 1:
             return WAIT
         if math.isinf(sim.config.speed) and not any(self.queues):
             return WAIT  # zero-time hops forever would not advance the clock
-        self.cursor = (self.cursor + 1) % self.grid.num_cells
-        return TravelTo(self.grid.cell_centers[self.cursor])
+        self.cursor = (self.cursor + 1) % len(self.stops)
+        return TravelTo(self.stops[self.cursor][0])
 
 
 class MultiPartitioning:
@@ -185,30 +188,24 @@ class MultiPartitioning:
         self.inner_kind = inner
 
     def attach(self, sim: Simulation) -> None:
-        m = sim.config.collectors
-        j = fleet_side(m)
-        self.per_side = j
-        self.sub_side = sim.config.side / j
+        j = fleet_side(sim.config.collectors)
+        # subregions are the cells of a j x j grid, numbered row-major
+        self.fleet = RegionGrid(Point(0.0, 0.0), sim.config.side, j)
+        sub_side = self.fleet.cell_side
         self.inners: list[_SingleCollectorPolicy] = []
-        for i in range(m):
+        for i in range(self.fleet.num_cells):
             row, col = divmod(i, j)
-            origin = Point(col * self.sub_side, row * self.sub_side)
+            origin = Point(col * sub_side, row * sub_side)
             # j == 1 passes the configured area through untouched so the
             # reduction to the plain single-collector policy is bit-exact
-            area = sim.config.area if j == 1 else self.sub_side ** 2
+            area = sim.config.area if j == 1 else sub_side ** 2
             inner = _SINGLE_KINDS[self.inner_kind](
                 collector_id=i, origin=origin, area=area)
             inner.attach(sim)
             self.inners.append(inner)
 
-    def subregion_of(self, p: Point) -> int:
-        j = self.per_side
-        col = min(j - 1, max(0, int(p.x / self.sub_side)))
-        row = min(j - 1, max(0, int(p.y / self.sub_side)))
-        return row * j + col
-
     def on_arrival(self, sim: Simulation, msg: Message) -> None:
-        self.inners[self.subregion_of(msg.location)].on_arrival(sim, msg)
+        self.inners[self.fleet.cell_of(msg.location)].on_arrival(sim, msg)
 
     def next_action(self, sim: Simulation, collector_id: int) -> Action:
         return self.inners[collector_id].next_action(sim, collector_id)

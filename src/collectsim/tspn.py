@@ -85,11 +85,11 @@ def grid_cover_tour(messages: Sequence, grid: RegionGrid,
         start = grid.center
     buckets: dict[int, list[int]] = {}
     for msg in messages:
-        buckets.setdefault(grid.cell_index(msg.location), []).append(msg.id)
+        buckets.setdefault(grid.cell_of(msg.location), []).append(msg.id)
     if not buckets:
         return Tour((), 0.0, start, start, "grid_cover")
-    order = sorted(buckets)
-    pts = [grid.cell_centers[i] for i in order]
+    order = sorted(buckets, key=grid.visit_rank)
+    pts = [grid.cell_center(cell) for cell in order]
     m = len(pts)
     if m == 1:
         stop = TourStop(pts[0], tuple(buckets[order[0]]))

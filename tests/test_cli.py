@@ -433,6 +433,25 @@ def test_main_bounds_and_trace_verbs(tmp_path):
     assert (tmp_path / "messages.csv").exists()
 
 
+@pytest.mark.parametrize("verb,name", [("bounds", "bounds.csv"),
+                                       ("trace", "messages.csv")])
+def test_main_parallel_flag_leaves_bounds_and_trace_unchanged(tmp_path, verb,
+                                                              name):
+    cfg = _write_config(tmp_path, loads="0.5", policies="fcfs",
+                        messages=400, seeds="1")
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    assert main([verb, "--config", str(cfg), "--out", str(serial)]) == 0
+    assert main([verb, "--config", str(cfg), "--out", str(parallel),
+                 "--parallel", "2"]) == 0
+    assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
+
+def test_main_parallel_help_names_the_run_verb(capsys):
+    with pytest.raises(SystemExit):
+        main(["bounds", "--help"])
+    assert "only run uses it" in " ".join(capsys.readouterr().out.split())
+
+
 def test_main_seed_override(tmp_path):
     cfg = _write_config(tmp_path, loads="0.5", policies="grid_partitioning",
                         messages=1200, seeds="1, 2")

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from collectsim.commmodel import (ReceptionModel, in_range, reception_point,
-                                  reception_radius)
+from collectsim.commmodel import in_range, reception_point, reception_radius
 from collectsim.core import ConfigurationError, Point, ScenarioConfig, distance
+from collectsim.engine import Simulation
+from collectsim.policies import make_policy
 
 
 def test_reception_radius_reference_values():
@@ -106,10 +107,9 @@ def test_reception_point_never_travels_more_than_direct():
         assert distance(c, p) <= distance(c, m) + 1e-12
 
 
-def test_reception_model_for_scenario():
+def test_simulation_radius_for_scenario():
     cfg = ScenarioConfig(area=60.0, arrival_rate=0.25, reception_time=2.0,
                          speed=10.0, snr_ref=10.0 ** 1.7, snr_threshold=2.0,
                          path_loss=4.0, collectors=1, seed=0)
-    model = ReceptionModel.for_scenario(cfg)
-    assert model.radius == pytest.approx(2.2373941648, abs=1e-9)
-    assert model.reception_time == 2.0
+    sim = Simulation(cfg, make_policy("fcfs", cfg))
+    assert sim.radius == pytest.approx(2.2373941648, abs=1e-9)

@@ -1,6 +1,7 @@
 """Region geometry, scenario validation and the serpentine cell cycle."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -120,7 +121,7 @@ def test_grid_single_cell_region():
     assert g.num_cells == 1
     assert g.closing_edge == 0.0
     assert g.cycle_length == 0.0
-    assert g.cell_centers[0] == g.center
+    assert g.cell_center(g.cycle()[0]) == g.center
 
 
 def test_grid_cycle_visits_every_cell_once():
@@ -128,15 +129,16 @@ def test_grid_cycle_visits_every_cell_once():
         area = float(k * k)  # unit cells when radius = 1/sqrt(2)
         g = build_grid(area, 1.0 / math.sqrt(2.0) + 1e-9)
         assert g.cells_per_side == k
-        assert len(g.cell_centers) == k * k
-        assert len(set(g.cell_centers)) == k * k
+        centers = [g.cell_center(cell) for cell in g.cycle()]
+        assert len(centers) == k * k
+        assert len(set(centers)) == k * k
 
 
 def test_grid_cycle_hops_are_one_cell_side():
     for k in range(2, 11):
         g = build_grid(float(k * k), 1.0 / math.sqrt(2.0) + 1e-9)
-        hops = [distance(a, b)
-                for a, b in zip(g.cell_centers, g.cell_centers[1:])]
+        centers = [g.cell_center(cell) for cell in g.cycle()]
+        hops = [distance(a, b) for a, b in zip(centers, centers[1:])]
         assert all(h == pytest.approx(g.cell_side, rel=1e-12) for h in hops)
         expected_closing = (g.cell_side if k % 2 == 0
                             else (k // 2) * math.sqrt(2.0) * g.cell_side)
@@ -145,28 +147,71 @@ def test_grid_cycle_hops_are_one_cell_side():
             (k * k - 1) * g.cell_side + g.closing_edge, rel=1e-12)
 
 
+# the visit order, written out by hand as (col, row) per step
+VISIT_ORDERS = {
+    1: [(0, 0)],
+    2: [(0, 0), (1, 0), (1, 1), (0, 1)],
+    3: [(0, 0), (0, 1), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0), (1, 0),
+        (1, 1)],
+    4: [(0, 0), (1, 0), (2, 0), (3, 0), (3, 1), (2, 1), (1, 1), (1, 2),
+        (2, 2), (3, 2), (3, 3), (2, 3), (1, 3), (0, 3), (0, 2), (0, 1)],
+    5: [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4),
+        (4, 4), (4, 3), (4, 2), (4, 1), (4, 0), (3, 0), (2, 0), (1, 0),
+        (1, 1), (1, 2), (1, 3), (2, 3), (3, 3), (3, 2), (3, 1), (2, 1),
+        (2, 2)],
+}
+
+
+@pytest.mark.parametrize("k", sorted(VISIT_ORDERS))
+def test_grid_visit_order_small_k(k):
+    g = RegionGrid(Point(0.0, 0.0), float(k), k)
+    assert [(cell % k, cell // k) for cell in g.cycle()] == VISIT_ORDERS[k]
+
+
+def test_grid_visit_rank_inverts_cycle_with_unit_hops():
+    for k in range(1, 41):
+        g = RegionGrid(Point(0.0, 0.0), float(k), k)
+        cycle = g.cycle()
+        assert sorted(cycle) == list(range(k * k))
+        for i, cell in enumerate(cycle):
+            assert g.visit_rank(cell) == i
+        for a, b in zip(cycle, cycle[1:]):
+            assert abs(a % k - b % k) + abs(a // k - b // k) == 1
+
+
+def test_grid_is_three_numbers():
+    g = build_grid(1e4, 0.05)  # 1415 x 1415 cells, nothing built per cell
+    assert [f.name for f in dataclasses.fields(RegionGrid)] == [
+        "origin", "side", "cells_per_side"]
+    assert g.num_cells == 1415 ** 2
+    with pytest.raises(AttributeError):
+        g.side = 1.0  # type: ignore[misc]
+
+
 def test_grid_cycle_ends_adjacent_to_start():
     # closing the loop costs one hop for even side counts and the ring-walk
     # diagonal for odd ones
     g4 = build_grid(16.0, 1.0 / math.sqrt(2.0) + 1e-9)
-    assert distance(g4.cell_centers[-1], g4.cell_centers[0]) == pytest.approx(
-        g4.cell_side)
+    first, *_, last = g4.cycle()
+    assert distance(g4.cell_center(last), g4.cell_center(first)) == (
+        pytest.approx(g4.cell_side))
     g5 = build_grid(25.0, 1.0 / math.sqrt(2.0) + 1e-9)
-    assert distance(g5.cell_centers[-1], g5.cell_centers[0]) == pytest.approx(
-        g5.closing_edge)
+    first, *_, last = g5.cycle()
+    assert distance(g5.cell_center(last), g5.cell_center(first)) == (
+        pytest.approx(g5.closing_edge))
 
 
 def test_grid_cell_index_roundtrip():
     g = build_grid(200.0, 2.2)
-    for i, c in enumerate(g.cell_centers):
-        assert g.cell_index(c) == i
+    for cell in range(g.num_cells):
+        assert g.cell_of(g.cell_center(cell)) == cell
 
 
 def test_grid_cell_index_clamps_outside_points():
     g = build_grid(200.0, 2.2)
     side = g.side
-    assert 0 <= g.cell_index(Point(-1.0, -1.0)) < g.num_cells
-    assert 0 <= g.cell_index(Point(side + 1.0, side + 1.0)) < g.num_cells
+    assert 0 <= g.cell_of(Point(-1.0, -1.0)) < g.num_cells
+    assert 0 <= g.cell_of(Point(side + 1.0, side + 1.0)) < g.num_cells
 
 
 def test_grid_covers_region_within_effective_radius():
@@ -174,7 +219,7 @@ def test_grid_covers_region_within_effective_radius():
     rng = np.random.default_rng(0)
     for _ in range(500):
         p = uniform_point(rng, g.side)
-        c = g.cell_centers[g.cell_index(p)]
+        c = g.cell_center(g.cell_of(p))
         # half-diagonal of a cell equals the effective radius, so every point
         # of a cell is reachable from the cell center
         assert distance(p, c) <= g.effective_radius * (1 + 1e-9)

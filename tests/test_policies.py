@@ -252,22 +252,22 @@ def test_multi_partitioning_subregion_layout():
     pol = make_policy("multi_partitioning", cfg)
     sim = Simulation(cfg, pol, StopRule(max_messages=10))
     pol.attach(sim)
-    j = pol.per_side
+    j = pol.fleet.cells_per_side
     assert j == 2
-    sub = pol.sub_side
+    sub = pol.fleet.cell_side
     assert sub == pytest.approx(cfg.side / 2.0)
     # row-major quadrants
     eps = 0.01
-    assert pol.subregion_of(Point(eps, eps)) == 0
-    assert pol.subregion_of(Point(sub + eps, eps)) == 1
-    assert pol.subregion_of(Point(eps, sub + eps)) == 2
-    assert pol.subregion_of(Point(sub + eps, sub + eps)) == 3
+    assert pol.fleet.cell_of(Point(eps, eps)) == 0
+    assert pol.fleet.cell_of(Point(sub + eps, eps)) == 1
+    assert pol.fleet.cell_of(Point(eps, sub + eps)) == 2
+    assert pol.fleet.cell_of(Point(sub + eps, sub + eps)) == 3
     # clamping for boundary/outside points
-    assert pol.subregion_of(Point(-1.0, -1.0)) == 0
-    assert pol.subregion_of(Point(cfg.side + 1.0, cfg.side + 1.0)) == 3
+    assert pol.fleet.cell_of(Point(-1.0, -1.0)) == 0
+    assert pol.fleet.cell_of(Point(cfg.side + 1.0, cfg.side + 1.0)) == 3
     # collectors start inside their own subregion
     for i, c in enumerate(sim.collectors):
-        assert pol.subregion_of(c.position) == i
+        assert pol.fleet.cell_of(c.position) == i
 
 
 def test_multi_partitioning_balances_messages_across_quadrants():
@@ -277,7 +277,7 @@ def test_multi_partitioning_balances_messages_across_quadrants():
     trace = sim.run()
     counts = [0, 0, 0, 0]
     for m in trace.completed:
-        counts[pol.subregion_of(m.location)] += 1
+        counts[pol.fleet.cell_of(m.location)] += 1
     assert sum(counts) == 2000
     for c in counts:
         assert 400 <= c <= 600  # ~5 sigma around the binomial mean of 500
@@ -289,7 +289,7 @@ def test_multi_partitioning_keeps_collectors_in_their_quadrant():
     sim = Simulation(cfg, pol, StopRule(max_messages=1000))
     sim.run()
     for i, c in enumerate(sim.collectors):
-        assert pol.subregion_of(c.position) == i
+        assert pol.fleet.cell_of(c.position) == i
 
 
 def test_multi_partitioning_rejects_nonsquare_fleet_on_attach():

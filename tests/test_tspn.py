@@ -70,7 +70,7 @@ def test_grid_cover_single_occupied_cell_is_out_and_back():
     start = grid.center
     tour = grid_cover_tour(msgs, grid, start)
     assert len(tour.stops) == 1
-    center = grid.cell_centers[grid.cell_index(msgs[0].location)]
+    center = grid.cell_center(grid.cell_of(msgs[0].location))
     assert tour.stops[0].point == center
     assert tour.stops[0].message_ids == (0, 1)
     assert tour.total_length == pytest.approx(2.0 * distance(start, center))
@@ -94,8 +94,13 @@ def test_grid_cover_rotation_is_optimal():
     msgs = _random_messages(rng, 30, grid.side)
     start = Point(1.0, 12.0)
     tour = grid_cover_tour(msgs, grid, start)
-    occupied = sorted({grid.cell_index(m.location) for m in msgs})
-    pts = [grid.cell_centers[i] for i in occupied]
+
+    def rank(p):
+        return grid.visit_rank(grid.cell_of(p))
+
+    occupied = sorted({rank(m.location) for m in msgs})
+    cycle = grid.cycle()
+    pts = [grid.cell_center(cycle[i]) for i in occupied]
     m = len(pts)
     seg = [distance(pts[i], pts[(i + 1) % m]) for i in range(m)]
     per = sum(seg)
@@ -103,7 +108,7 @@ def test_grid_cover_rotation_is_optimal():
                + distance(pts[j - 1], start) for j in range(m))
     assert tour.total_length == pytest.approx(best, rel=1e-12)
     # stops stay in cyclic grid order
-    idx = [grid.cell_index(s.point) for s in tour.stops]
+    idx = [rank(s.point) for s in tour.stops]
     rot = idx.index(min(idx))
     assert idx[rot:] + idx[:rot] == occupied
 
@@ -114,7 +119,8 @@ def test_grid_cover_full_coverage_length_ignores_positions():
     lengths = set()
     for _ in range(5):
         msgs = []
-        for i, c in enumerate(grid.cell_centers):
+        for i, cell in enumerate(grid.cycle()):
+            c = grid.cell_center(cell)
             jx, jy = rng.uniform(-1.0, 1.0, 2)
             msgs.append(Message(id=i, arrival_time=0.0,
                                 location=Point(c.x + jx, c.y + jy)))
@@ -205,7 +211,7 @@ def test_plan_tour_prefers_direct_approach_for_one_far_message():
     grid = build_grid(200.0, 2.2)
     msgs = _messages([(13.0, 13.0)])
     tour = plan_tour(msgs, grid, 2.2)
-    cell_center = grid.cell_centers[grid.cell_index(msgs[0].location)]
+    cell_center = grid.cell_center(grid.cell_of(msgs[0].location))
     d = distance(grid.center, msgs[0].location)
     assert tour.method == "tspn"
     assert tour.total_length == pytest.approx(2.0 * (d - 2.2), rel=1e-9)
