@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .bounds import bound_report
+from .bounds import BoundReport, bound_report
 from .commmodel import reception_radius
 from .core import ConfigurationError, ScenarioConfig
 from .engine import EventTrace, StopRule, run
@@ -31,40 +31,22 @@ from .stats import SimResult, TraceStats, pool_stats, trace_stats
 
 MAX_MESSAGES_PER_CELL = 200_000
 
-# key -> (required, default, help)
-KEYS = {
-    "scenario.area": (True, None, "region area, squared distance units"),
-    "scenario.speed": (True, None, "collector speed (inf allowed)"),
-    "scenario.reception_time": (True, None, "time to receive one message"),
-    "scenario.snr_db": (True, None, "reference SNR at unit distance, dB"),
-    "scenario.snr_threshold": (False, "2.0", "decoding threshold, linear"),
-    "scenario.path_loss": (False, "4.0", "path-loss exponent in [2, 6]"),
-    "scenario.collectors": (False, "1", "number of collectors"),
-    "policy.kinds": (False, "grid_partitioning",
-                     "comma-separated policy names"),
-    "policy.inner": (False, "grid_partitioning",
-                     "per-subregion policy for multi_partitioning"),
-    "sweep.loads": (True, None, "comma-separated loads in (0, 1.2]"),
-    "sweep.snr_db": (False, "", "optional SNR sweep (bounds verb only)"),
-    "run.messages": (False, "20000", "completed messages per (policy,load,seed)"),
-    "run.seeds": (False, "1,2,3", "comma-separated non-negative seeds"),
-    "run.warmup": (False, "0.2", "warmup fraction of completed messages"),
-}
+# the bound_report fields shared by results.csv and bounds.csv, in order
+BOUND_COLUMNS = (
+    "pk_wait", "single_lb", "partitioning_delay", "multi_lb_mdm",
+    "multi_lb_partition", "multi_lb_avg", "multi_partitioning_delay",
+)
 
 RESULT_COLUMNS = (
     "policy", "load", "arrival_rate", "collectors", "seeds", "messages",
     "mean_delay", "delay_ci", "mean_travel_wait", "travel_wait_ci",
     "mean_service_wait", "service_wait_ci", "mean_occupancy", "occupancy_ci",
     "rho_measured", "stability", "delay_over_bound",
-    "pk_wait", "single_lb", "partitioning_delay", "multi_lb_mdm",
-    "multi_lb_partition", "multi_lb_avg", "multi_partitioning_delay",
-)
+) + BOUND_COLUMNS
 
 BOUNDS_COLUMNS = (
     "snr_db", "reception_radius", "load", "arrival_rate", "collectors",
-    "pk_wait", "single_lb", "partitioning_delay", "multi_lb_mdm",
-    "multi_lb_partition", "multi_lb_avg", "multi_partitioning_delay",
-)
+) + BOUND_COLUMNS
 
 MESSAGE_COLUMNS = ("id", "arrival_time", "x", "y", "reception_start",
                    "departure_time", "wait_travel", "wait_service")
@@ -88,37 +70,6 @@ class ExperimentSpec:
     seeds: tuple[int, ...]
     messages: int
     warmup: float
-
-
-@dataclass(frozen=True)
-class ResultRow:
-    """One pooled table row: a (policy, load) cell plus its bound columns."""
-
-    policy: str
-    load: float
-    result: SimResult
-    bounds: object  # BoundReport
-
-    def cells(self) -> list[str]:
-        r, b = self.result, self.bounds
-        denominator = b.single_lb if r.collectors == 1 else b.multi_lb_avg
-        ratio = (r.mean_delay / denominator
-                 if math.isfinite(denominator) and denominator > 0
-                 else math.nan)
-        values = [
-            self.policy, _fmt(self.load), _fmt(r.arrival_rate),
-            str(r.collectors), ";".join(str(s) for s in r.seeds),
-            str(r.messages_counted),
-            _fmt(r.mean_delay), _fmt(r.delay_ci),
-            _fmt(r.mean_travel_wait), _fmt(r.travel_wait_ci),
-            _fmt(r.mean_service_wait), _fmt(r.service_wait_ci),
-            _fmt(r.mean_occupancy), _fmt(r.occupancy_ci),
-            _fmt(r.rho_measured), r.stability, _fmt(ratio),
-            _fmt(b.pk_wait), _fmt(b.single_lb), _fmt(b.partitioning_delay),
-            _fmt(b.multi_lb_mdm), _fmt(b.multi_lb_partition),
-            _fmt(b.multi_lb_avg), _fmt(b.multi_partitioning_delay),
-        ]
-        return values
 
 
 def _fmt(value, digits: int = 6) -> str:
@@ -170,17 +121,69 @@ def _parse_int(key: str, value: str) -> int:
         raise ConfigurationError(f"{key}: expected an integer, got {value!r}")
 
 
-def _parse_float_list(key: str, value: str) -> tuple[float, ...]:
-    if not value.strip():
-        return ()
-    return tuple(_parse_float(key, part.strip())
-                 for part in value.split(","))
+def _parse_policy(key: str, value: str) -> PolicyKind:
+    try:
+        return PolicyKind(value)
+    except ValueError as exc:
+        raise ConfigurationError(f"{key}: {exc}")
 
 
-def _parse_int_list(key: str, value: str) -> tuple[int, ...]:
-    if not value.strip():
-        return ()
-    return tuple(_parse_int(key, part.strip()) for part in value.split(","))
+def _parse_list(item):
+    """Parser of a comma-separated list of distinct ``item`` values; a
+    repeated entry would pool one replication twice."""
+    def parse(key: str, value: str) -> tuple:
+        if not value.strip():
+            return ()
+        items = tuple(item(key, part.strip()) for part in value.split(","))
+        if len(set(items)) != len(items):
+            raise ConfigurationError(
+                f"{key}: entries must be distinct, got {value!r}")
+        return items
+    return parse
+
+
+def _parse_seeds(key: str, value: str) -> tuple[int, ...]:
+    seeds = _parse_list(_parse_int)(key, value)
+    if not seeds:
+        raise ConfigurationError(f"{key}: at least one seed required")
+    for seed in seeds:
+        if seed < 0:
+            raise ConfigurationError(f"{key}: seed {seed} is negative")
+    return seeds
+
+
+# key -> (ExperimentSpec field, default or None when required, parser, help)
+KEYS = {
+    "scenario.area": ("area", None, _parse_float,
+                      "region area, squared distance units"),
+    "scenario.speed": ("speed", None, _parse_float,
+                       "collector speed (inf allowed)"),
+    "scenario.reception_time": ("reception_time", None, _parse_float,
+                                "time to receive one message"),
+    "scenario.snr_db": ("snr_db", None, _parse_float,
+                        "reference SNR at unit distance, dB"),
+    "scenario.snr_threshold": ("snr_threshold", "2.0", _parse_float,
+                               "decoding threshold, linear"),
+    "scenario.path_loss": ("path_loss", "4.0", _parse_float,
+                           "path-loss exponent in [2, 6]"),
+    "scenario.collectors": ("collectors", "1", _parse_int,
+                            "number of collectors"),
+    "policy.kinds": ("policies", "grid_partitioning",
+                     _parse_list(_parse_policy),
+                     "comma-separated distinct policy names"),
+    "policy.inner": ("inner", "grid_partitioning", _parse_policy,
+                     "per-subregion policy for multi_partitioning"),
+    "sweep.loads": ("loads", None, _parse_list(_parse_float),
+                    "comma-separated distinct loads in (0, 1.2]"),
+    "sweep.snr_db": ("snr_db_sweep", "", _parse_list(_parse_float),
+                     "optional SNR sweep (bounds verb only)"),
+    "run.messages": ("messages", "20000", _parse_int,
+                     "completed messages per (policy,load,seed)"),
+    "run.seeds": ("seeds", "1,2,3", _parse_seeds,
+                  "comma-separated distinct non-negative seeds"),
+    "run.warmup": ("warmup", "0.2", _parse_float,
+                   "warmup fraction of completed messages"),
+}
 
 
 def build_spec(mapping: dict[str, str]) -> ExperimentSpec:
@@ -188,67 +191,26 @@ def build_spec(mapping: dict[str, str]) -> ExperimentSpec:
     for key in mapping:
         if key not in KEYS:
             raise ConfigurationError(f"{key}: unknown configuration key")
-    values: dict[str, str] = {}
-    for key, (required, default, _) in KEYS.items():
-        if key in mapping:
-            values[key] = mapping[key]
-        elif required:
+    fields = {}
+    for key, (name, default, parse, _) in KEYS.items():
+        if key not in mapping and default is None:
             raise ConfigurationError(f"{key}: required key is missing")
-        else:
-            values[key] = default
+        fields[name] = parse(key, mapping.get(key, default))
+    spec = ExperimentSpec(**fields)
 
-    try:
-        policies = tuple(PolicyKind(p.strip())
-                         for p in values["policy.kinds"].split(",") if p.strip())
-    except ValueError as exc:
-        raise ConfigurationError(f"policy.kinds: {exc}")
-    if not policies:
+    if not spec.policies:
         raise ConfigurationError("policy.kinds: at least one policy required")
-    try:
-        inner = PolicyKind(values["policy.inner"])
-    except ValueError as exc:
-        raise ConfigurationError(f"policy.inner: {exc}")
-
-    loads = _parse_float_list("sweep.loads", values["sweep.loads"])
-    for load in loads:
+    for load in spec.loads:
         if not 0.0 < load <= 1.2:
             raise ConfigurationError(
                 f"sweep.loads: load {load} outside (0, 1.2]")
-    seeds = _parse_int_list("run.seeds", values["run.seeds"])
-    if not seeds:
-        raise ConfigurationError("run.seeds: at least one seed required")
-    for seed in seeds:
-        if seed < 0:
-            raise ConfigurationError(f"run.seeds: seed {seed} is negative")
-    messages = _parse_int("run.messages", values["run.messages"])
-    if not 0 < messages <= MAX_MESSAGES_PER_CELL:
+    if not 0 < spec.messages <= MAX_MESSAGES_PER_CELL:
         raise ConfigurationError(
             f"run.messages: must lie in [1, {MAX_MESSAGES_PER_CELL}], "
-            f"got {messages}")
-    warmup = _parse_float("run.warmup", values["run.warmup"])
-    if not 0.0 <= warmup < 1.0:
+            f"got {spec.messages}")
+    if not 0.0 <= spec.warmup < 1.0:
         raise ConfigurationError(
-            f"run.warmup: must lie in [0, 1), got {warmup}")
-    collectors = _parse_int("scenario.collectors", values["scenario.collectors"])
-
-    spec = ExperimentSpec(
-        area=_parse_float("scenario.area", values["scenario.area"]),
-        speed=_parse_float("scenario.speed", values["scenario.speed"]),
-        reception_time=_parse_float("scenario.reception_time",
-                                    values["scenario.reception_time"]),
-        snr_db=_parse_float("scenario.snr_db", values["scenario.snr_db"]),
-        snr_threshold=_parse_float("scenario.snr_threshold",
-                                   values["scenario.snr_threshold"]),
-        path_loss=_parse_float("scenario.path_loss", values["scenario.path_loss"]),
-        collectors=collectors,
-        policies=policies,
-        inner=inner,
-        loads=loads,
-        snr_db_sweep=_parse_float_list("sweep.snr_db", values["sweep.snr_db"]),
-        seeds=seeds,
-        messages=messages,
-        warmup=warmup,
-    )
+            f"run.warmup: must lie in [0, 1), got {spec.warmup}")
     # fail fast on scenario-level problems (positivity, path-loss range)
     if spec.loads:
         scenario_config(spec, spec.loads[0], spec.seeds[0])
@@ -312,45 +274,67 @@ def dump_messages(trace: EventTrace, path: str | Path) -> Path:
     return path
 
 
+def _bound_cells(report: BoundReport) -> list[str]:
+    return [_fmt(getattr(report, name)) for name in BOUND_COLUMNS]
+
+
+def _result_cells(policy: str, load: float, r: SimResult,
+                  b: BoundReport) -> list[str]:
+    """One results.csv row: a pooled (policy, load) cell and its bounds."""
+    denominator = b.single_lb if r.collectors == 1 else b.multi_lb_avg
+    ratio = (r.mean_delay / denominator
+             if math.isfinite(denominator) and denominator > 0
+             else math.nan)
+    return [
+        policy, _fmt(load), _fmt(r.arrival_rate),
+        str(r.collectors), ";".join(str(s) for s in r.seeds),
+        str(r.messages_counted),
+        _fmt(r.mean_delay), _fmt(r.delay_ci),
+        _fmt(r.mean_travel_wait), _fmt(r.travel_wait_ci),
+        _fmt(r.mean_service_wait), _fmt(r.service_wait_ci),
+        _fmt(r.mean_occupancy), _fmt(r.occupancy_ci),
+        _fmt(r.rho_measured), r.stability, _fmt(ratio),
+    ] + _bound_cells(b)
+
+
 # --------------------------------------------------------------------------
 # experiment execution
 
 
-def _run_cell(args) -> tuple[str, float, TraceStats]:
-    spec, kind, load, seed = args
+def _simulate(spec: ExperimentSpec, kind: PolicyKind, load: float,
+              seed: int) -> EventTrace:
+    """Run one (policy, load, seed) cell to its message target."""
     config = scenario_config(spec, load, seed)
     policy = make_policy(kind, config, inner=spec.inner)
-    trace = run(config, policy, StopRule(max_messages=spec.messages))
-    return kind.value, load, trace_stats(trace, warmup_fraction=spec.warmup)
+    return run(config, policy, StopRule(max_messages=spec.messages))
+
+
+def _run_cell(args) -> TraceStats:
+    spec, kind, load, seed = args
+    return trace_stats(_simulate(spec, kind, load, seed),
+                       warmup_fraction=spec.warmup)
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
                    parallel: int = 1) -> Path:
     """Simulate every (policy, load, seed) cell, pool seeds, and write
     results.csv with one row per (policy, load)."""
+    cells = [(kind, load) for kind in spec.policies for load in spec.loads]
     jobs = [(spec, kind, load, seed)
-            for kind in spec.policies
-            for load in spec.loads
-            for seed in spec.seeds]
+            for kind, load in cells for seed in spec.seeds]
     if parallel > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            outcomes = list(pool.map(_run_cell, jobs, chunksize=1))
+            parts = list(pool.map(_run_cell, jobs, chunksize=1))
     else:
-        outcomes = [_run_cell(job) for job in jobs]
+        parts = [_run_cell(job) for job in jobs]
 
-    grouped: dict[tuple[str, float], list[TraceStats]] = {}
-    for policy_name, load, part in outcomes:
-        grouped.setdefault((policy_name, load), []).append(part)
-
+    # map keeps job order, so each cell's seeds are one consecutive slice
+    n = len(spec.seeds)
     lines = [",".join(RESULT_COLUMNS)]
-    for kind in spec.policies:
-        for load in spec.loads:
-            parts = grouped[(kind.value, load)]
-            pooled = pool_stats(parts)
-            report = bound_report(scenario_config(spec, load, spec.seeds[0]))
-            row = ResultRow(policy=kind.value, load=load, result=pooled,
-                            bounds=report)
-            lines.append(",".join(row.cells()))
+    for i, (kind, load) in enumerate(cells):
+        pooled = pool_stats(parts[i * n:(i + 1) * n])
+        report = bound_report(scenario_config(spec, load, spec.seeds[0]))
+        lines.append(",".join(_result_cells(kind.value, load, pooled, report)))
     out = Path(out_dir) / "results.csv"
     atomic_write_text(out, "\n".join(lines) + "\n")
     return out
@@ -364,14 +348,11 @@ def bounds_table(spec: ExperimentSpec, out_dir: str | Path) -> Path:
     for snr_db in snrs:
         for load in spec.loads:
             config = scenario_config(spec, load, spec.seeds[0], snr_db=snr_db)
-            b = bound_report(config)
-            lines.append(",".join((
-                _fmt(snr_db), _fmt(b.reception_radius), _fmt(load),
+            report = bound_report(config)
+            lines.append(",".join([
+                _fmt(snr_db), _fmt(report.reception_radius), _fmt(load),
                 _fmt(config.arrival_rate), str(config.collectors),
-                _fmt(b.pk_wait), _fmt(b.single_lb),
-                _fmt(b.partitioning_delay), _fmt(b.multi_lb_mdm),
-                _fmt(b.multi_lb_partition), _fmt(b.multi_lb_avg),
-                _fmt(b.multi_partitioning_delay))))
+            ] + _bound_cells(report)))
     out = Path(out_dir) / "bounds.csv"
     atomic_write_text(out, "\n".join(lines) + "\n")
     return out
@@ -381,10 +362,7 @@ def trace_run(spec: ExperimentSpec, out_dir: str | Path) -> Path:
     """Run the first (policy, load, seed) cell and dump its messages."""
     if not spec.loads:
         raise ConfigurationError("sweep.loads: trace needs at least one load")
-    kind, load, seed = spec.policies[0], spec.loads[0], spec.seeds[0]
-    config = scenario_config(spec, load, seed)
-    policy = make_policy(kind, config, inner=spec.inner)
-    trace = run(config, policy, StopRule(max_messages=spec.messages))
+    trace = _simulate(spec, spec.policies[0], spec.loads[0], spec.seeds[0])
     return dump_messages(trace, Path(out_dir) / "messages.csv")
 
 
@@ -427,10 +405,7 @@ def main(argv=None) -> int:
     try:
         spec = load_spec(args.config)
         if args.seeds is not None:
-            seeds = _parse_int_list("--seeds", args.seeds)
-            if not seeds:
-                raise ConfigurationError("--seeds: at least one seed required")
-            spec = replace(spec, seeds=seeds)
+            spec = replace(spec, seeds=_parse_seeds("--seeds", args.seeds))
         for line in _header_lines(spec):
             print(line)
         if args.verb == "run":

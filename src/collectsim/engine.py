@@ -81,7 +81,6 @@ class CollectorState:
     phase: str = "idle"  # idle | traveling | receiving
     target: Point | None = None
     receiving_id: int | None = None
-    phase_end: float | None = None
     receiving_accum: float = 0.0
     receiving_since: float | None = None
 
@@ -225,14 +224,13 @@ class Simulation:
         if isinstance(action, Wait):
             collector.phase = "idle"
             collector.target = None
-            collector.phase_end = None
             return
         if isinstance(action, TravelTo):
             hop = distance(collector.position, action.target)
             collector.phase = "traveling"
             collector.target = action.target
-            collector.phase_end = self.time + hop / self.config.speed
-            self._push(collector.phase_end, _TRAVEL_DONE, collector.id)
+            self._push(self.time + hop / self.config.speed, _TRAVEL_DONE,
+                       collector.id)
             return
         msg = self.messages[action.message_id]
         msg.reception_start = self.time
@@ -243,8 +241,8 @@ class Simulation:
         collector.phase = "receiving"
         collector.receiving_id = msg.id
         collector.receiving_since = self.time
-        collector.phase_end = self.time + self.config.reception_time
-        self._push(collector.phase_end, _RECEPTION_DONE, collector.id)
+        self._push(self.time + self.config.reception_time, _RECEPTION_DONE,
+                   collector.id)
 
     # -- event handlers
 
@@ -268,7 +266,6 @@ class Simulation:
         collector.position = collector.target
         collector.target = None
         collector.phase = "idle"
-        collector.phase_end = None
         self._dispatch(collector)
 
     def _handle_reception_done(self, collector: CollectorState) -> None:
@@ -278,7 +275,6 @@ class Simulation:
         collector.receiving_since = None
         collector.receiving_id = None
         collector.phase = "idle"
-        collector.phase_end = None
         self.in_system -= 1
         self.occupancy_samples.append((self.time, self.in_system))
         self.completed.append(msg)

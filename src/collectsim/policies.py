@@ -196,11 +196,8 @@ class MultiPartitioning:
         for i in range(self.fleet.num_cells):
             row, col = divmod(i, j)
             origin = Point(col * sub_side, row * sub_side)
-            # j == 1 passes the configured area through untouched so the
-            # reduction to the plain single-collector policy is bit-exact
-            area = sim.config.area if j == 1 else sub_side ** 2
             inner = _SINGLE_KINDS[self.inner_kind](
-                collector_id=i, origin=origin, area=area)
+                collector_id=i, origin=origin, area=sub_side ** 2)
             inner.attach(sim)
             self.inners.append(inner)
 

@@ -39,8 +39,6 @@ class SimResult:
     messages_counted: int
     seeds: tuple[int, ...]
     arrival_rate: float
-    reception_time: float
-    load: float
     collectors: int
 
 
@@ -61,7 +59,6 @@ class TraceStats:
     verdict: str
     arrival_rate: float
     reception_time: float
-    load: float
     collectors: int
 
 
@@ -117,6 +114,13 @@ def _occupancy_slice_means(samples, t0: float, t1: float,
 # divergence verdict
 
 
+def _mean_ci(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its 95% Student-t half-width (at least two values)."""
+    tq = scipy_stats.t.ppf(0.975, len(values) - 1)
+    return (float(values.mean()),
+            tq * float(values.std(ddof=1)) / math.sqrt(len(values)))
+
+
 def detect_divergence(occupancy_samples, threshold: float | None = None) -> str:
     """Classify an occupancy trajectory as stable, diverged or inconclusive.
 
@@ -137,10 +141,8 @@ def detect_divergence(occupancy_samples, threshold: float | None = None) -> str:
     mid = _occupancy_slice_means(occupancy_samples, span / 3.0,
                                  2.0 * span / 3.0, 8)
     last = _occupancy_slice_means(occupancy_samples, 2.0 * span / 3.0, span, 8)
-    tq = scipy_stats.t.ppf(0.975, len(mid) - 1)
-    mid_mean, last_mean = float(mid.mean()), float(last.mean())
-    mid_ci = tq * float(mid.std(ddof=1)) / math.sqrt(len(mid))
-    last_ci = tq * float(last.std(ddof=1)) / math.sqrt(len(last))
+    mid_mean, mid_ci = _mean_ci(mid)
+    last_mean, last_ci = _mean_ci(last)
     if last_mean > 2.0 * mid_mean and last_mean - last_ci > mid_mean + mid_ci:
         return "diverged"
     tight = (mid_ci <= 0.5 * max(mid_mean, 1e-12)
@@ -203,7 +205,6 @@ def trace_stats(trace: EventTrace, warmup_fraction: float = 0.2,
         verdict=verdict,
         arrival_rate=cfg.arrival_rate,
         reception_time=cfg.reception_time,
-        load=cfg.load,
         collectors=cfg.collectors,
     )
 
@@ -214,9 +215,7 @@ def _pooled_ci(all_batches: list[float]) -> tuple[float, float]:
         return math.nan, math.nan
     if len(arr) == 1:
         return float(arr[0]), math.inf
-    tq = scipy_stats.t.ppf(0.975, len(arr) - 1)
-    return (float(arr.mean()),
-            tq * float(arr.std(ddof=1)) / math.sqrt(len(arr)))
+    return _mean_ci(arr)
 
 
 def pool_stats(parts: list[TraceStats]) -> SimResult:
@@ -270,8 +269,6 @@ def pool_stats(parts: list[TraceStats]) -> SimResult:
         messages_counted=sum(p.kept for p in parts),
         seeds=tuple(p.seed for p in parts),
         arrival_rate=first.arrival_rate,
-        reception_time=first.reception_time,
-        load=first.load,
         collectors=first.collectors,
     )
 

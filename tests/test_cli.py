@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -100,6 +101,10 @@ def test_build_spec_applies_defaults():
     ("run.warmup = 1.0", "must lie in"),
     ("run.seeds = -3", "negative"),
     ("run.seeds =", "at least one seed"),
+    ("run.seeds = 1, 1", "run.seeds: entries must be distinct"),
+    ("sweep.loads = 0.5, 0.5", "sweep.loads: entries must be distinct"),
+    ("policy.kinds = grid_partitioning, grid_partitioning",
+     "policy.kinds: entries must be distinct"),
     ("policy.kinds = teleport", "policy.kinds"),
     ("policy.inner = teleport", "policy.inner"),
     ("scenario.area = sixty", "expected a number"),
@@ -475,6 +480,20 @@ def test_main_error_paths(tmp_path, capsys):
                  "--seeds", ""]) == 2
 
 
+@pytest.mark.parametrize("seeds,message", [
+    ("1,1", "--seeds: entries must be distinct"),
+    ("-1", "--seeds: seed -1 is negative"),
+])
+def test_main_seed_override_gets_the_run_seeds_checks(tmp_path, capsys, seeds,
+                                                       message):
+    cfg = _write_config(tmp_path, loads="0.5", policies="fcfs",
+                        messages=400, seeds="1")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path),
+                 "--seeds", seeds]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_main_requires_verb():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -482,9 +501,7 @@ def test_main_requires_verb():
 
 
 def test_keys_table_is_documented():
-    for key, (required, default, help_text) in KEYS.items():
-        assert help_text
-        if required:
-            assert default is None
-        else:
-            assert default is not None
+    for key, (_, _, _, help_text) in KEYS.items():
+        assert help_text, key
+    targets = [name for name, _, _, _ in KEYS.values()]
+    assert sorted(targets) == sorted(f.name for f in fields(ExperimentSpec))
