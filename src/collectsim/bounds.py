@@ -15,12 +15,6 @@ from dataclasses import dataclass, replace
 from .commmodel import reception_radius
 from .core import ConfigurationError, ScenarioConfig, build_grid, fleet_side
 
-# Mean distance from the center of a unit-area square to a uniform point,
-# rounded as conventionally quoted; the loose travel floor uses this constant
-# verbatim. The exact value is 0.38259785823210635.
-MEAN_CENTER_DISTANCE = 0.383
-
-
 def _require_positive(name: str, value: float) -> None:
     if not value > 0:
         raise ConfigurationError(f"{name} must be positive, got {value}")
@@ -66,34 +60,19 @@ def expected_excess_distance(area: float, radius: float) -> float:
     return max(0.0, 4.0 * quadrant / area)
 
 
-def expected_excess_floor(area: float, radius: float) -> float:
-    """Looser closed-form floor E[||U - center||] - radius (clamped at 0),
-    using the rounded 0.383 constant. Kept separate so figure-style sweeps
-    can use exactly this form."""
-    _require_positive("area", area)
-    if radius < 0:
-        raise ConfigurationError(f"radius must be non-negative, got {radius}")
-    return max(0.0, MEAN_CENTER_DISTANCE * math.sqrt(area) - radius)
-
-
 def _radius(config: ScenarioConfig) -> float:
     return reception_radius(config.snr_ref, config.snr_threshold,
                             config.path_loss)
 
 
-def single_collector_lb(config: ScenarioConfig, loose: bool = False) -> float:
+def single_collector_lb(config: ScenarioConfig) -> float:
     """Lower bound on mean delay achievable by any single-collector policy:
     residual travel to the reception disk, plus the M/D/1 wait, plus the
-    reception time. ``loose=True`` swaps the closed-form excess distance for
-    the 0.383*sqrt(A) - r floor."""
+    reception time."""
     rho = config.arrival_rate * config.reception_time
     if rho >= 1.0:
         return math.inf
-    r = _radius(config)
-    if loose:
-        excess = expected_excess_floor(config.area, r)
-    else:
-        excess = expected_excess_distance(config.area, r)
+    excess = expected_excess_distance(config.area, _radius(config))
     return (excess / (config.speed * (1.0 - rho))
             + pk_mg1_wait(config.arrival_rate, config.reception_time)
             + config.reception_time)

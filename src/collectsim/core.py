@@ -88,7 +88,8 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"collectors must be a positive integer, got {self.collectors}")
         if not (isinstance(self.seed, int) and self.seed >= 0):
-            raise ConfigurationError(f"seed must be a non-negative integer")
+            raise ConfigurationError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
 
     @property
     def side(self) -> float:

@@ -13,13 +13,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy.special import stdtrit
 
 from .engine import EventTrace
 
 # below this many post-warmup messages (20 batches of 50) estimates are not
 # trusted and the verdict degrades to inconclusive
 MIN_KEPT_MESSAGES = 20 * 50
+# batch means (and occupancy slices) per trace
+BATCHES = 32
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,7 +118,7 @@ def _occupancy_slice_means(samples, t0: float, t1: float,
 
 def _mean_ci(values: np.ndarray) -> tuple[float, float]:
     """Sample mean and its 95% Student-t half-width (at least two values)."""
-    tq = scipy_stats.t.ppf(0.975, len(values) - 1)
+    tq = stdtrit(len(values) - 1, 0.975)
     return (float(values.mean()),
             tq * float(values.std(ddof=1)) / math.sqrt(len(values)))
 
@@ -156,16 +158,15 @@ def detect_divergence(occupancy_samples, threshold: float | None = None) -> str:
 # per-trace summary and pooling
 
 
-def _batch_means(values: np.ndarray, batches: int) -> tuple[float, ...]:
+def _batch_means(values: np.ndarray) -> tuple[float, ...]:
     n = len(values)
     if n == 0:
         return (math.nan,)
-    k = min(batches, n)
+    k = min(BATCHES, n)
     return tuple(float(chunk.mean()) for chunk in np.array_split(values, k))
 
 
-def trace_stats(trace: EventTrace, warmup_fraction: float = 0.2,
-                batches: int = 32) -> TraceStats:
+def trace_stats(trace: EventTrace, warmup_fraction: float = 0.2) -> TraceStats:
     """Reduce one trace to batch means and occupancy slice means after
     discarding the warmup fraction of completed messages."""
     if not 0.0 <= warmup_fraction < 1.0:
@@ -187,16 +188,16 @@ def trace_stats(trace: EventTrace, warmup_fraction: float = 0.2,
     service = np.array([m.wait_service for m in kept], dtype=float)
     t0 = completed[n_warm - 1].departure_time if n_warm > 0 else 0.0
     t1 = max(trace.end_time, t0)
-    occ = _occupancy_slice_means(trace.occupancy_samples, t0, t1, batches)
+    occ = _occupancy_slice_means(trace.occupancy_samples, t0, t1, BATCHES)
     window = t1 - t0
     mean_occ = float(occ.mean()) if window > 0 else 0.0
     cfg = trace.config
     return TraceStats(
         seed=cfg.seed,
         kept=len(kept),
-        delay_batches=_batch_means(delays, batches),
-        travel_batches=_batch_means(travel, batches),
-        service_batches=_batch_means(service, batches),
+        delay_batches=_batch_means(delays),
+        travel_batches=_batch_means(travel),
+        service_batches=_batch_means(service),
         occupancy_slices=tuple(float(v) for v in occ),
         mean_occupancy=mean_occ,
         window=window,
@@ -273,19 +274,6 @@ def pool_stats(parts: list[TraceStats]) -> SimResult:
     )
 
 
-def summarize(trace: EventTrace, warmup_fraction: float = 0.2,
-              batches: int = 32) -> SimResult:
-    """Steady-state estimates from a single trace."""
-    return pool_stats([trace_stats(trace, warmup_fraction, batches)])
-
-
-def summarize_pooled(traces, warmup_fraction: float = 0.2,
-                     batches: int = 32) -> SimResult:
-    """Steady-state estimates pooled over independent replications."""
-    return pool_stats([trace_stats(t, warmup_fraction, batches)
-                       for t in traces])
-
-
 # --------------------------------------------------------------------------
 # delay scaling fit
 
@@ -316,13 +304,18 @@ def scaling_fit(points, reception_time: float) -> ScalingFit:
             f"{len(usable)}")
     x = np.log([1.0 / (1.0 - load) for load, _ in usable])
     y = np.log([delay - reception_time for _, delay in usable])
-    fit = scipy_stats.linregress(x, y)
-    tq = scipy_stats.t.ppf(0.975, len(usable) - 2)
-    stderr = float(fit.stderr) if math.isfinite(fit.stderr) else 0.0
+    if x.min() == x.max():
+        raise ValueError("scaling_fit needs at least two distinct loads")
+    # mean centred sums, and the slope's standard error in its correlation
+    # form: r clipped to [-1, 1] against round-off, zero for a flat response
+    sxx, sxy, _, syy = (float(v) for v in np.cov(x, y, bias=True).flat)
+    slope = sxy / sxx
+    r = max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy))) if syy > 0 else 0.0
+    stderr = math.sqrt((1.0 - r * r) * syy / sxx / (len(usable) - 2))
     return ScalingFit(
-        slope=float(fit.slope),
-        slope_ci=tq * stderr,
-        intercept=float(fit.intercept),
+        slope=slope,
+        slope_ci=float(stdtrit(len(usable) - 2, 0.975)) * stderr,
+        intercept=float(y.mean()) - slope * float(x.mean()),
         points_used=len(usable),
         points_excluded=excluded,
         stderr=stderr,

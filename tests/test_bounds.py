@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collectsim.bounds import (BoundReport, bound_report, excess_cost,
-                               expected_excess_distance, expected_excess_floor,
-                               multi_lb_avg, multi_lb_mdm, multi_lb_mdm_raw,
+                               expected_excess_distance, multi_lb_avg,
+                               multi_lb_mdm, multi_lb_mdm_raw,
                                multi_lb_partition_class,
                                multi_partitioning_delay, partitioning_delay,
                                pk_mg1_wait, single_collector_lb)
@@ -109,29 +109,6 @@ def test_excess_distance_validates():
         expected_excess_distance(1.0, -0.5)
 
 
-def test_excess_floor_values_and_clamp():
-    assert expected_excess_floor(100.0, 1.0) == pytest.approx(
-        0.383 * 10.0 - 1.0)
-    assert expected_excess_floor(1.0, 0.5) == 0.0  # clamped
-    with pytest.raises(ConfigurationError):
-        expected_excess_floor(1.0, -0.1)
-
-
-@settings(deadline=None, max_examples=20)
-@given(area=st.floats(min_value=1.0, max_value=400.0),
-       frac=st.floats(min_value=0.0, max_value=0.95))
-def test_excess_floor_never_exceeds_true_excess(area, frac):
-    # the floor's 0.383 constant is rounded up from the exact mean center
-    # distance 0.3825978582, so allow exactly that rounding gap (plus a
-    # 2e-6 * sqrt(area) numerical margin) before calling the floor an
-    # overshoot
-    radius = frac * math.sqrt(area / 2.0)
-    rounding_gap = (0.383 - 0.3825978582) * math.sqrt(area)
-    assert expected_excess_floor(area, radius) <= (
-        expected_excess_distance(area, radius) + rounding_gap
-        + 2e-6 * math.sqrt(area))
-
-
 # -- single-collector bound and sweep formula ----------------------------------
 
 CASE2_TABLE = [
@@ -165,13 +142,6 @@ def test_slow_collector_large_region_formulas(load, sweep, lb):
     cfg = case1_config(load, seed=0)
     assert partitioning_delay(cfg) == pytest.approx(sweep, abs=2e-4)
     assert single_collector_lb(cfg) == pytest.approx(lb, abs=2e-4)
-
-
-def test_single_lb_loose_variant():
-    cfg = case2_config(0.95, seed=0)
-    loose = single_collector_lb(cfg, loose=True)
-    assert loose == pytest.approx(22.458622, abs=2e-5)
-    assert loose <= single_collector_lb(cfg)
 
 
 def test_sweep_delay_reduces_to_queue_when_one_cell_covers_region():

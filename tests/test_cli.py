@@ -4,6 +4,8 @@ from __future__ import annotations
 import csv
 import math
 import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -505,3 +507,15 @@ def test_keys_table_is_documented():
         assert help_text, key
     targets = [name for name, _, _, _ in KEYS.values()]
     assert sorted(targets) == sorted(f.name for f in fields(ExperimentSpec))
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats alone used to take most of the command's start-up time
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import collectsim.cli, sys; sys.exit('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

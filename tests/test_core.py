@@ -78,10 +78,16 @@ def test_config_load_splits_across_collectors():
     ("snr_threshold", 0.0),
     ("path_loss", 1.9), ("path_loss", 6.1),
     ("collectors", 0),
+    ("seed", -1), ("seed", 1.5),
 ])
 def test_config_rejects_bad_values(field, value):
     with pytest.raises(ConfigurationError):
         _config(**{field: value})
+
+
+def test_config_names_the_bad_seed():
+    with pytest.raises(ConfigurationError, match="got -1"):
+        _config(seed=-1)
 
 
 def test_config_allows_infinite_speed():

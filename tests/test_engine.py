@@ -156,6 +156,23 @@ def test_pure_queue_regime_has_zero_travel_wait():
         assert abs(m.wait_travel) <= 1e-9
 
 
+@pytest.mark.parametrize("load", [0.3, 0.8, 0.95])
+@pytest.mark.parametrize("seed", [4, 19, 33])
+def test_pure_queue_departures_follow_lindley_recursion(load, seed):
+    # a collector that never moves serves messages first come first served:
+    # every departure is D_i = max(A_i, D_{i-1}) + s, exactly
+    cfg = reception_queue_config(load, seed=seed)
+    trace = run(cfg, _grid_policy(cfg), StopRule(max_messages=10_000))
+    arrivals = [m.arrival_time for m in trace.completed]
+    assert arrivals == sorted(arrivals)
+    previous = 0.0
+    for m in trace.completed:
+        previous = max(m.arrival_time, previous) + cfg.reception_time
+        assert m.departure_time == previous
+    assert trace.occupancy_samples[-1][1] == (
+        trace.generated - len(trace.completed))
+
+
 # -- stop conditions ------------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import pickle
 
 import numpy as np
 import pytest
+from scipy.stats import linregress
 
 from collectsim.bounds import partitioning_delay, pk_mg1_wait
 from collectsim.core import Message, Point
@@ -13,8 +14,7 @@ from collectsim.engine import EventTrace, StopRule, run
 from collectsim.policies import make_policy
 from collectsim.stats import (MIN_KEPT_MESSAGES, ScalingFit, SimResult,
                               TraceStats, detect_divergence, pool_stats,
-                              scaling_fit, summarize, summarize_pooled,
-                              trace_stats)
+                              scaling_fit, trace_stats)
 
 from matrixlib import case1_config, case2_config, reception_queue_config
 
@@ -164,7 +164,7 @@ def test_trace_stats_fewer_messages_than_batches():
     msgs = _constant_delay_messages(10, delay=2.0)
     occupancy = [(m.arrival_time, 1) for m in msgs]
     trace = _synthetic_trace(msgs, occupancy, end_time=12.0)
-    ts = trace_stats(trace, warmup_fraction=0.0, batches=32)
+    ts = trace_stats(trace, warmup_fraction=0.0)
     assert len(ts.delay_batches) == 10
 
 
@@ -190,7 +190,7 @@ def test_trace_stats_is_picklable():
 
 
 def test_md1_estimates_match_theory(md1_runs):
-    result = summarize_pooled(md1_runs)
+    result = pool_stats([trace_stats(t) for t in md1_runs])
     pk = pk_mg1_wait(0.5, 1.0)  # 0.5
     assert result.stability == "stable"
     assert result.mean_travel_wait == pytest.approx(0.0, abs=1e-9)
@@ -203,15 +203,15 @@ def test_md1_estimates_match_theory(md1_runs):
 
 
 def test_littles_law_audit(md1_runs):
-    result = summarize_pooled(md1_runs)
+    result = pool_stats([trace_stats(t) for t in md1_runs])
     lam = result.arrival_rate
     assert abs(result.mean_occupancy - lam * result.mean_delay) <= (
         result.occupancy_ci + lam * result.delay_ci + 0.02)
 
 
 def test_pooling_matches_singles(md1_runs):
-    singles = [summarize(t) for t in md1_runs]
-    pooled = summarize_pooled(md1_runs)
+    singles = [pool_stats([trace_stats(t)]) for t in md1_runs]
+    pooled = pool_stats([trace_stats(t) for t in md1_runs])
     lo = min(s.mean_delay for s in singles)
     hi = max(s.mean_delay for s in singles)
     assert lo - 1e-12 <= pooled.mean_delay <= hi + 1e-12
@@ -277,6 +277,8 @@ def test_scaling_fit_validation():
         scaling_fit([(1.2, 5.0)] + [(0.5, 5.0)] * 5, 1.0)
     with pytest.raises(ValueError, match="at least 5"):
         scaling_fit([(0.3, 5.0), (0.5, 6.0), (0.7, 8.0), (0.8, 11.0)], 1.0)
+    with pytest.raises(ValueError):  # one load: the slope is undefined
+        scaling_fit([(0.5, 5.0)] * 5, 1.0)
 
 
 def test_scaling_fit_reports_uncertainty_on_noisy_points():
@@ -286,3 +288,40 @@ def test_scaling_fit_reports_uncertainty_on_noisy_points():
     fit = scaling_fit(points, 1.0)
     assert fit.slope_ci > 0.0
     assert fit.stderr > 0.0
+
+
+def _oracle_point_sets():
+    """The point sets of the fits above, then a seeded batch of noisy
+    power laws with random exponents, sizes and loads."""
+    sets = [
+        ([(rho, 2.0 + 0.7 / (1.0 - rho) ** 2)
+          for rho in (0.3, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95)], 2.0),
+        ([(0.1, 1.0)] + [(rho, 1.0 + 1.0 / (1.0 - rho))
+                         for rho in (0.3, 0.5, 0.6, 0.7, 0.8, 0.9)], 1.0),
+    ]
+    loads = (0.6, 0.7, 0.8, 0.9, 0.95)
+    for make in (case2_config, case1_config):
+        sets.append(([(rho, partitioning_delay(make(rho, 0)))
+                      for rho in loads], 2.0))
+    rng = np.random.default_rng(8)
+    sets.append(([(rho,
+                   1.0 + (1.0 / (1.0 - rho)) * float(rng.uniform(0.9, 1.1)))
+                  for rho in (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)], 1.0))
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        rhos = np.sort(rng.uniform(0.05, 0.99, int(rng.integers(5, 10))))
+        exponent, scale = rng.uniform(0.5, 2.5), rng.uniform(0.1, 10.0)
+        sets.append(([(float(rho), 1.0 + scale / (1.0 - rho) ** exponent
+                       * float(rng.uniform(0.8, 1.2))) for rho in rhos], 1.0))
+    return sets
+
+
+@pytest.mark.filterwarnings("ignore:scaling_fit. excluded")
+def test_scaling_fit_matches_linregress():
+    for points, s in _oracle_point_sets():
+        usable = [(rho, d) for rho, d in points if d > s]
+        ref = linregress(np.log([1.0 / (1.0 - rho) for rho, _ in usable]),
+                         np.log([d - s for _, d in usable]))
+        fit = scaling_fit(points, s)
+        assert (fit.slope, fit.intercept, fit.stderr) == pytest.approx(
+            (ref.slope, ref.intercept, ref.stderr), rel=1e-12)
