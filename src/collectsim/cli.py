@@ -403,6 +403,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if args.parallel < 1:
+            raise ConfigurationError(
+                f"--parallel: must be at least 1, got {args.parallel}")
         spec = load_spec(args.config)
         if args.seeds is not None:
             spec = replace(spec, seeds=_parse_seeds("--seeds", args.seeds))

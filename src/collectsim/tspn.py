@@ -116,57 +116,115 @@ def grid_cover_tour(messages: Sequence, grid: RegionGrid,
 # nearest-disk greedy + 2-opt planner
 
 
-def _greedy_stops(messages: Sequence, radius: float,
-                  start: Point) -> list[tuple[Point, list[int]]]:
+# Batches up to this many messages run the greedy on Python floats, larger ones
+# on numpy arrays, whose per-call overhead only pays off on longer sweeps; it
+# is where the two paths cost the same on uniform batches (CHANGES.md). The
+# paths return identical stops: both measure with the C library's hypot, which
+# np.hypot calls and so does abs() of a complex, while math.hypot differs from
+# it in the last bit on about 0.6% of inputs, enough to flip an argmin or a
+# range test.
+_FLOAT_GREEDY_MAX = 64
+# The 2-opt pass evaluates its gain matrix in row blocks of at most this many
+# entries, so memory stays bounded at any stop count.
+_TWO_OPT_BLOCK = 1 << 16
+# where the float greedy moves the messages it has served
+_FAR = complex(math.inf, 0.0)
+
+
+def _greedy_stops_float(messages: Sequence, radius: float,
+                        start: Point) -> list[tuple[Point, list[int]]]:
+    slack = radius * (1.0 + _RANGE_SLACK)
+    ids = [m.id for m in messages]
+    zs = [complex(m.location.x, m.location.y) for m in messages]
+    here = Point(float(start.x), float(start.y))
+    at = complex(here.x, here.y)
+    dist = [abs(z - at) for z in zs]
+    left = len(ids)
+    stops: list[tuple[Point, list[int]]] = []
+    while left:
+        # the first message of least excess distance max(d - radius, 0), as
+        # np.argmin picks it
+        cut = max(min(dist) - radius, 0.0)
+        k = next(q for q, d in enumerate(dist) if d - radius <= cut)
+        aim = Point(zs[k].real, zs[k].imag)
+        if not in_range(here, aim, radius):
+            here = reception_point(here, aim, radius)
+            at = complex(here.x, here.y)
+            dist = [abs(z - at) for z in zs]
+        # the stop passes in_range for the message aimed at, even where
+        # hypot rounds the other way
+        dist[k] = 0.0
+        served = [q for q, d in enumerate(dist) if d <= slack]
+        for q in served:
+            zs[q] = _FAR
+            dist[q] = math.inf
+        left -= len(served)
+        stops.append((here, [ids[q] for q in served]))
+    return stops
+
+
+def _greedy_stops_array(messages: Sequence, radius: float,
+                        start: Point) -> list[tuple[Point, list[int]]]:
     ids = [m.id for m in messages]
     xs = np.array([m.location.x for m in messages], dtype=float)
     ys = np.array([m.location.y for m in messages], dtype=float)
     slack = radius * (1.0 + _RANGE_SLACK)
-    unserved = np.ones(len(ids), dtype=bool)
-    cx, cy = start.x, start.y
+    here = Point(float(start.x), float(start.y))
+    # served messages move to x = inf, so every later sweep puts them out of
+    # reach; one sweep per stop that moves serves its hits and the next argmin
+    dist = np.hypot(xs - here.x, ys - here.y)
+    left = len(ids)
     stops: list[tuple[Point, list[int]]] = []
-    while unserved.any():
-        idx = np.flatnonzero(unserved)
-        d = np.hypot(xs[idx] - cx, ys[idx] - cy)
-        j = idx[int(np.argmin(np.maximum(d - radius, 0.0)))]
-        here, aim = Point(cx, cy), Point(xs[j], ys[j])
+    while left:
+        j = int(np.argmin(np.maximum(dist - radius, 0.0)))
+        aim = Point(float(xs[j]), float(ys[j]))
         if not in_range(here, aim, radius):
             here = reception_point(here, aim, radius)
-        cx, cy = here.x, here.y
-        hits = unserved & (np.hypot(xs - cx, ys - cy) <= slack)
+            dist = np.hypot(xs - here.x, ys - here.y)
+        hits = dist <= slack
         # the stop passes in_range for the message aimed at, even where
         # numpy's hypot rounds the other way
         hits[j] = True
         served = np.flatnonzero(hits)
-        unserved[served] = False
+        xs[served] = np.inf
+        dist[served] = np.inf
+        left -= len(served)
         stops.append((here, [ids[i] for i in served]))
     return stops
 
 
 def _two_opt_pass(points: list[Point], start: Point) -> list[int] | None:
     """One best-improvement 2-opt move on the stop order; None if no move
-    improves."""
+    improves.
+
+    Reversing stops i..j (1-based, the start is P[0] and P[n+1]) replaces
+    edges (i-1, i) and (j, j+1). The move taken is the first of the largest
+    gain in row-major (i, j) order, and only a gain above 1e-9 counts.
+    """
     n = len(points)
     if n < 3:
         return None
-    coords = np.empty((n + 2, 2))
-    coords[0] = coords[-1] = (start.x, start.y)
-    for i, p in enumerate(points, start=1):
-        coords[i] = (p.x, p.y)
-    diffs = np.diff(coords, axis=0)
-    edge = np.hypot(diffs[:, 0], diffs[:, 1])  # edge[i] = |P[i] P[i+1]|
+    xs = np.array([start.x, *(p.x for p in points), start.x], dtype=float)
+    ys = np.array([start.y, *(p.y for p in points), start.y], dtype=float)
+    edge = np.hypot(np.diff(xs), np.diff(ys))  # edge[i] = |P[i] P[i+1]|
+    rows = max(1, _TWO_OPT_BLOCK // n)
     best_gain, best_move = 1e-9, None
-    for i in range(1, n):
-        # reversing P[i..j] replaces edges (i-1,i) and (j,j+1)
-        js = np.arange(i + 1, n + 1)
-        new1 = np.hypot(coords[js, 0] - coords[i - 1, 0],
-                        coords[js, 1] - coords[i - 1, 1])
-        new2 = np.hypot(coords[js + 1, 0] - coords[i, 0],
-                        coords[js + 1, 1] - coords[i, 1])
-        gains = edge[i - 1] + edge[js] - new1 - new2
+    for lo in range(1, n, rows):
+        hi = min(lo + rows, n)
+        # dist[a, b] = |P[lo-1+a] P[lo+1+b]|: the new edge (i-1, j) is
+        # dist[i-lo, j-lo-1] and the new edge (i, j+1) is dist[i-lo+1, j-lo]
+        dx = xs[lo + 1:] - xs[lo - 1:hi, None]
+        dist = np.hypot(dx, ys[lo + 1:] - ys[lo - 1:hi, None], out=dx)
+        gains = edge[lo - 1:hi - 1, None] + edge[lo + 1:n + 1]
+        gains -= dist[:-1, :-1]
+        gains -= dist[1:, 1:]
+        # row i takes j > i only
+        m = hi - lo
+        gains[:, :m][np.tri(m, k=-1, dtype=bool)] = -np.inf
         k = int(np.argmax(gains))
-        if gains[k] > best_gain:
-            best_gain, best_move = gains[k], (i, int(js[k]))
+        r, c = divmod(k, gains.shape[1])
+        if gains[r, c] > best_gain:
+            best_gain, best_move = gains[r, c], (lo + r, lo + 1 + c)
     if best_move is None:
         return None
     i, j = best_move
@@ -199,7 +257,10 @@ def nn_tspn_tour(messages: Sequence, radius: float, start: Point) -> Tour:
     if not messages:
         return Tour((), 0.0, start, start, "tspn")
     by_id = {m.id: m.location for m in messages}
-    stops = _greedy_stops(messages, radius, start)
+    if len(messages) <= _FLOAT_GREEDY_MAX:
+        stops = _greedy_stops_float(messages, radius, start)
+    else:
+        stops = _greedy_stops_array(messages, radius, start)
     best = stops
     best_len = _closed_length([p for p, _ in stops], start)
     for _ in range(8):

@@ -459,6 +459,17 @@ def test_main_parallel_help_names_the_run_verb(capsys):
     assert "only run uses it" in " ".join(capsys.readouterr().out.split())
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_main_rejects_parallel_below_one(tmp_path, capsys, workers):
+    cfg = _write_config(tmp_path, loads="0.5", policies="fcfs",
+                        messages=400, seeds="1")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path),
+                 "--parallel", workers]) == 2
+    assert f"--parallel: must be at least 1, got {workers}" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_main_seed_override(tmp_path):
     cfg = _write_config(tmp_path, loads="0.5", policies="grid_partitioning",
                         messages=1200, seeds="1, 2")

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from collectsim import tspn
 from collectsim.commmodel import in_range
 from collectsim.core import Message, Point, build_grid, distance, uniform_point
 from collectsim.tspn import (Tour, TourStop, grid_cover_tour, nn_tspn_tour,
@@ -247,3 +248,114 @@ def test_plan_tour_length_capped_even_for_huge_batches():
         msgs = _random_messages(rng, n, grid.side)
         tour = plan_tour(msgs, grid, 2.2)
         assert tour.total_length <= cap + 1e-9
+
+
+# -- float and array planner paths ------------------------------------------------
+
+
+def _row_loop_two_opt_pass(points: list[Point],
+                           start: Point) -> list[int] | None:
+    """The 2-opt pass as a loop over rows i with one numpy sweep over j each:
+    the reference the blocked pass must agree with."""
+    n = len(points)
+    if n < 3:
+        return None
+    coords = np.empty((n + 2, 2))
+    coords[0] = coords[-1] = (start.x, start.y)
+    for i, p in enumerate(points, start=1):
+        coords[i] = (p.x, p.y)
+    diffs = np.diff(coords, axis=0)
+    edge = np.hypot(diffs[:, 0], diffs[:, 1])
+    best_gain, best_move = 1e-9, None
+    for i in range(1, n):
+        js = np.arange(i + 1, n + 1)
+        new1 = np.hypot(coords[js, 0] - coords[i - 1, 0],
+                        coords[js, 1] - coords[i - 1, 1])
+        new2 = np.hypot(coords[js + 1, 0] - coords[i, 0],
+                        coords[js + 1, 1] - coords[i, 1])
+        gains = edge[i - 1] + edge[js] - new1 - new2
+        k = int(np.argmax(gains))
+        if gains[k] > best_gain:
+            best_gain, best_move = gains[k], (i, int(js[k]))
+    if best_move is None:
+        return None
+    i, j = best_move
+    order = list(range(n))
+    order[i - 1:j] = reversed(order[i - 1:j])
+    return order
+
+
+def test_float_distance_is_numpys_hypot():
+    rng = np.random.default_rng(12)
+    for scale in (1e-3, 1.0, 50.0):
+        dx, dy = rng.uniform(-scale, scale, (2, 20_000))
+        assert ([abs(complex(x, y)) for x, y in zip(dx.tolist(), dy.tolist())]
+                == np.hypot(dx, dy).tolist())
+
+
+def _tour_on_path(monkeypatch, path: str, msgs, radius: float,
+                  start: Point) -> Tour:
+    size = 10**9 if path == "float" else 0
+    monkeypatch.setattr(tspn, "_FLOAT_GREEDY_MAX", size)
+    return nn_tspn_tour(msgs, radius, start)
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.01, 2.24])
+def test_float_and_array_paths_plan_the_same_tours(monkeypatch, radius):
+    largest = 2 * tspn._FLOAT_GREEDY_MAX
+    side = math.sqrt(60.0)
+    rng = np.random.default_rng(int(radius * 100) + 5)
+    for n in range(1, largest + 1):
+        msgs = _random_messages(rng, n, side)
+        start = uniform_point(rng, side)
+        float_tour = _tour_on_path(monkeypatch, "float", msgs, radius, start)
+        array_tour = _tour_on_path(monkeypatch, "array", msgs, radius, start)
+        assert float_tour == array_tour, n
+
+
+def test_float_and_array_paths_agree_on_a_small_far_disk(monkeypatch):
+    msgs = _messages([(50.0, 0.25)])
+    start = Point(0.0, 49.0)
+    float_tour = _tour_on_path(monkeypatch, "float", msgs, 0.01, start)
+    array_tour = _tour_on_path(monkeypatch, "array", msgs, 0.01, start)
+    assert float_tour == array_tour
+
+
+@pytest.mark.parametrize("path", ["float", "array"])
+def test_stop_points_are_plain_floats(monkeypatch, path):
+    rng = np.random.default_rng(8)
+    msgs = _random_messages(rng, 2 * tspn._FLOAT_GREEDY_MAX, 7.0)
+    tour = _tour_on_path(monkeypatch, path, msgs, 2.24, Point(3.5, 3.5))
+    assert len(tour.stops) > 3
+    for stop in tour.stops:
+        assert type(stop.point.x) is float and type(stop.point.y) is float
+
+
+def _stop_points(rng, n: int, lattice: bool) -> list[Point]:
+    if lattice:
+        # many equal gains, so the first-maximum rule decides the move
+        k = math.isqrt(n) + 1
+        return [Point(float(i % k), float(i // k)) for i in rng.permutation(n)]
+    return [uniform_point(rng, 20.0) for _ in range(n)]
+
+
+@pytest.mark.parametrize("block", [1, 64, 1000])
+def test_blocked_two_opt_matches_the_row_loop(monkeypatch, block):
+    monkeypatch.setattr(tspn, "_TWO_OPT_BLOCK", block)
+    rng = np.random.default_rng(block)
+    start = Point(3.0, 4.0)
+    for n in range(3, 90, 2):
+        for lattice in (False, True):
+            points = _stop_points(rng, n, lattice)
+            assert (tspn._two_opt_pass(points, start)
+                    == _row_loop_two_opt_pass(points, start)), (n, lattice)
+
+
+def test_default_blocks_match_the_row_loop():
+    n = 600
+    assert tspn._TWO_OPT_BLOCK // n < n - 1  # several row blocks
+    rng = np.random.default_rng(3)
+    points = [uniform_point(rng, 20.0) for _ in range(n)]
+    start = Point(10.0, 10.0)
+    assert (tspn._two_opt_pass(points, start)
+            == _row_loop_two_opt_pass(points, start))
