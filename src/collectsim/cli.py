@@ -311,8 +311,14 @@ def _simulate(spec: ExperimentSpec, kind: PolicyKind, load: float,
 
 def _run_cell(args) -> TraceStats:
     spec, kind, load, seed = args
-    return trace_stats(_simulate(spec, kind, load, seed),
-                       warmup_fraction=spec.warmup)
+    try:
+        return trace_stats(_simulate(spec, kind, load, seed),
+                           warmup_fraction=spec.warmup)
+    except Exception as exc:
+        # notes survive the pickling that carries a worker's exception back
+        exc.add_note(f"in cell policy={kind.value} load={_fmt(load)} "
+                     f"seed={seed}")
+        raise
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
@@ -420,7 +426,8 @@ def main(argv=None) -> int:
         print(f"wrote {out}")
         return 0
     except (ConfigurationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}", *getattr(exc, "__notes__", ()), sep="\n",
+              file=sys.stderr)
         return 2
 
 

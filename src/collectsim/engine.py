@@ -37,9 +37,12 @@ class Wait:
 
 @dataclass(frozen=True, slots=True)
 class TravelTo:
-    """Drive in a straight line to the target point."""
+    """Drive to the target point. ``length`` is the length of the path
+    taken, at least the straight-line distance; by default the collector
+    drives the straight line."""
 
     target: Point
+    length: float | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,7 +76,9 @@ class CollectorState:
 
     ``receiving_accum`` is total completed reception time; together with
     ``receiving_since`` it gives the exact cumulative receiving time at any
-    instant, which the engine snapshots to attribute waits.
+    instant, which the engine snapshots to attribute waits. ``leg`` and
+    ``leg_start`` are the length and start time of the current (or last)
+    travel leg.
     """
 
     id: int
@@ -83,6 +88,8 @@ class CollectorState:
     receiving_id: int | None = None
     receiving_accum: float = 0.0
     receiving_since: float | None = None
+    leg: float = 0.0
+    leg_start: float = 0.0
 
     def receiving_time(self, now: float) -> float:
         """Cumulative time spent receiving, up to ``now``."""
@@ -174,8 +181,9 @@ def generate_arrivals(arrival_rate: float, horizon: float, rng,
 class Simulation:
     """Mutable world state, visible read-only to policies.
 
-    Policies may inspect ``time``, ``messages``, ``collectors``, ``radius``
-    and ``config``; all mutation goes through the engine.
+    Policies may inspect ``time``, ``messages``, ``collectors``, ``radius``,
+    ``config`` and ``next_arrival_time``; all mutation goes through the
+    engine.
     """
 
     def __init__(self, config: ScenarioConfig, policy: Policy,
@@ -206,7 +214,14 @@ class Simulation:
         self._heap: list[tuple[float, int, int, int]] = []
         self._seq = itertools.count()
         self._next_arrival_loc: Point | None = None
-        self._last_arrival_time = 0.0
+        self._next_arrival_time = 0.0
+
+    @property
+    def next_arrival_time(self) -> float:
+        """Time of the next, already drawn, arrival. The arrival stream does
+        not depend on the policy's actions, so no message can arrive
+        earlier."""
+        return self._next_arrival_time
 
     # -- scheduling helpers
 
@@ -215,9 +230,9 @@ class Simulation:
 
     def _schedule_next_arrival(self) -> None:
         gap = self.rng.exponential(1.0 / self.config.arrival_rate)
-        self._last_arrival_time += gap
+        self._next_arrival_time += gap
         self._next_arrival_loc = uniform_point(self.rng, self.config.side)
-        self._push(self._last_arrival_time, _ARRIVAL, -1)
+        self._push(self._next_arrival_time, _ARRIVAL, -1)
 
     def _dispatch(self, collector: CollectorState) -> None:
         action = step_policy(self.policy, self, collector.id)
@@ -226,10 +241,14 @@ class Simulation:
             collector.target = None
             return
         if isinstance(action, TravelTo):
-            hop = distance(collector.position, action.target)
+            leg = action.length
+            if leg is None:
+                leg = distance(collector.position, action.target)
             collector.phase = "traveling"
             collector.target = action.target
-            self._push(self.time + hop / self.config.speed, _TRAVEL_DONE,
+            collector.leg = leg
+            collector.leg_start = self.time
+            self._push(self.time + leg / self.config.speed, _TRAVEL_DONE,
                        collector.id)
             return
         msg = self.messages[action.message_id]
@@ -261,8 +280,7 @@ class Simulation:
                 self._dispatch(c)
 
     def _handle_travel_done(self, collector: CollectorState) -> None:
-        self.total_travel_distance += distance(collector.position,
-                                               collector.target)
+        self.total_travel_distance += collector.leg
         collector.position = collector.target
         collector.target = None
         collector.phase = "idle"
@@ -278,6 +296,19 @@ class Simulation:
         self.in_system -= 1
         self.occupancy_samples.append((self.time, self.in_system))
         self.completed.append(msg)
+
+    def _bill_legs_in_flight(self, end_time: float) -> None:
+        """Add the part of each unfinished leg covered by ``end_time``. A leg
+        whose end time is not after ``end_time`` counts whole, so infinite
+        speed never multiplies inf by a zero elapsed time."""
+        speed = self.config.speed
+        for c in self.collectors:
+            if c.phase == "traveling":
+                if c.leg_start + c.leg / speed <= end_time:
+                    self.total_travel_distance += c.leg
+                else:
+                    self.total_travel_distance += speed * (end_time
+                                                           - c.leg_start)
 
     # -- main loop
 
@@ -309,6 +340,7 @@ class Simulation:
                 self._dispatch(self.collectors[ref])
         else:  # queue exhausted (cannot happen while arrivals reschedule)
             end_time = self.time
+        self._bill_legs_in_flight(end_time)
         receiving = sum(c.receiving_time(end_time) for c in self.collectors)
         return EventTrace(
             config=self.config,
@@ -326,7 +358,8 @@ class Simulation:
 
 def step_policy(policy: Policy, sim: Simulation, collector_id: int) -> Action:
     """Ask the policy for one action and enforce the physical contract:
-    receptions only of unserved messages within the reception radius."""
+    receptions only of unserved messages within the reception radius, and
+    travel paths no shorter than the straight line."""
     action = policy.next_action(sim, collector_id)
     if isinstance(action, Receive):
         if not 0 <= action.message_id < len(sim.messages):
@@ -345,6 +378,15 @@ def step_policy(policy: Policy, sim: Simulation, collector_id: int) -> Action:
                 f"receive message {msg.id} from out of range "
                 f"(distance {distance(collector.position, msg.location):.6g}, "
                 f"radius {sim.radius:.6g})")
+    elif isinstance(action, TravelTo) and action.length is not None:
+        straight = distance(sim.collectors[collector_id].position,
+                            action.target)
+        # k collinear hops can sum one ulp short of the direct hypot
+        if not action.length >= straight * (1.0 - 1e-12):
+            raise ContractViolation(
+                f"policy {policy.name!r} asked collector {collector_id} to "
+                f"travel a path of length {action.length!r}, shorter than "
+                f"the straight line ({straight:.6g})")
     return action
 
 

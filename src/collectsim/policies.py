@@ -15,7 +15,7 @@ from enum import Enum
 
 from .commmodel import in_range, reception_point
 from .core import (ConfigurationError, Message, Point, RegionGrid,
-                   ScenarioConfig, build_grid, fleet_side)
+                   ScenarioConfig, build_grid, distance, fleet_side)
 from .engine import Action, Receive, Simulation, TravelTo, WAIT
 from .tspn import plan_tour
 
@@ -145,8 +145,17 @@ class GridPartitioning(_SingleCollectorPolicy):
     """Sweep the covering grid's cells in cyclic order, exhausting each
     cell's queue from its center before hopping to the next cell. The
     collector keeps cycling when everything is empty (reservation travel is
-    always paid), except that it parks when the grid is a single cell or
-    when motion is instantaneous and there is nothing anywhere."""
+    always paid), except that it parks when nothing is queued and a lap
+    takes no time: a single cell, or instantaneous motion.
+
+    Empty cells are passed in one leg. No message can arrive before the
+    engine's next arrival, so every cell the sweep would reach before that
+    time stays empty; the leg runs along the cycle to the first cell that is
+    non-empty, or that ends the hop in flight when the next message arrives.
+    ``sim.next_arrival_time`` is read only to merge hops the sweep would
+    drive anyway: path, timing and service order are those of hop-by-hop
+    travel, up to round-off in the summed hop lengths.
+    """
 
     name = "grid_partitioning"
 
@@ -157,22 +166,45 @@ class GridPartitioning(_SingleCollectorPolicy):
         self.queues = [deque() for _ in range(self.grid.num_cells)]
         self.stops = [(self.grid.cell_center(cell), self.queues[cell])
                       for cell in self.grid.cycle()]
+        # hops[i] is the leg from stop i to the next stop in the cycle
+        points = [point for point, _ in self.stops]
+        self.hops = [distance(a, b)
+                     for a, b in zip(points, points[1:] + points[:1])]
+        self.lap = sum(self.hops)
+        self.queued = 0
         self.cursor = 0
         sim.collectors[self.collector_id].position = self.stops[0][0]
 
     def on_arrival(self, sim: Simulation, msg: Message) -> None:
         self.queues[self.grid.cell_of(msg.location)].append(msg.id)
+        self.queued += 1
 
     def next_action(self, sim: Simulation, collector_id: int) -> Action:
-        queue = self.stops[self.cursor][1]
+        stops = self.stops
+        cursor = self.cursor
+        queue = stops[cursor][1]
         if queue:
+            self.queued -= 1
             return Receive(queue.popleft())
-        if len(self.stops) == 1:
-            return WAIT
-        if math.isinf(sim.config.speed) and not any(self.queues):
-            return WAIT  # zero-time hops forever would not advance the clock
-        self.cursor = (self.cursor + 1) % len(self.stops)
-        return TravelTo(self.stops[self.cursor][0])
+        speed = sim.config.speed
+        start = sim.time
+        arrival = sim.next_arrival_time
+        length = 0.0
+        if not self.queued:
+            lap_time = self.lap / speed
+            if lap_time == 0.0:
+                return WAIT  # zero-time laps would not advance the clock
+            # whole laps end where they start; back off one for round-off
+            laps = int((arrival - start) / lap_time) - 1
+            if laps > 0:
+                length = laps * self.lap
+        while True:
+            length += self.hops[cursor]
+            cursor = (cursor + 1) % len(stops)
+            if stops[cursor][1] or start + length / speed > arrival:
+                break
+        self.cursor = cursor
+        return TravelTo(stops[cursor][0], length)
 
 
 class MultiPartitioning:

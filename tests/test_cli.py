@@ -470,6 +470,21 @@ def test_main_rejects_parallel_below_one(tmp_path, capsys, workers):
     assert not (tmp_path / "results.csv").exists()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_main_names_the_failing_cell(tmp_path, capsys, workers):
+    # fcfs drives one collector, so its cells fail on a four-collector fleet
+    cfg = tmp_path / "experiment.cfg"
+    cfg.write_text(MINI.format(loads="0.4", policies="multi_partitioning, fcfs",
+                               messages=200, seeds="1, 2")
+                   + "scenario.collectors = 4\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path),
+                 "--parallel", workers]) == 2
+    err = capsys.readouterr().err
+    assert "drives a single collector" in err
+    assert "in cell policy=fcfs load=0.4 seed=1" in err
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_main_seed_override(tmp_path):
     cfg = _write_config(tmp_path, loads="0.5", policies="grid_partitioning",
                         messages=1200, seeds="1, 2")

@@ -264,6 +264,22 @@ class _ReceivesTwice(_RogueBase):
         return WAIT
 
 
+class _TravelsShort(_RogueBase):
+    def __init__(self, length):
+        self.length = length
+
+    def next_action(self, sim, collector_id):
+        return TravelTo(Point(0.0, 0.0), self.length)
+
+
+@pytest.mark.parametrize("length", [1.4, -1.0, math.nan])
+def test_travel_shorter_than_the_straight_line_is_rejected(length):
+    # the collector starts at the center (1, 1), sqrt(2) from the target
+    cfg = reception_queue_config(0.5, seed=0)
+    with pytest.raises(ContractViolation, match="policy 'rogue'.*shorter"):
+        run(cfg, _TravelsShort(length), StopRule(max_messages=10))
+
+
 def test_out_of_range_reception_is_rejected():
     # tiny radius on a big region: the first arrival is out of range from the
     # center with overwhelming probability; if it ever were in range the

@@ -2,17 +2,21 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
+from collectsim import policies
 from collectsim.core import (ConfigurationError, Point, ScenarioConfig,
                              distance)
-from collectsim.engine import Receive, Simulation, StopRule, TravelTo, run
+from collectsim.engine import (WAIT, Receive, Simulation, StopRule, TravelTo,
+                               run)
 from collectsim.policies import (Fcfs, FcfsReturn, GridPartitioning,
                                  MultiPartitioning, PolicyKind, TspnCyclic,
                                  make_policy)
 
-from matrixlib import fleet_config, reception_queue_config, wide_region_config
+from matrixlib import (case2_config, fleet_config, reception_queue_config,
+                       wide_region_config)
 
 R_WIDE = 2.2  # reception radius of the wide_region scenarios
 
@@ -242,6 +246,90 @@ def test_grid_sweep_parks_at_infinite_speed_when_empty():
     assert len(trace.completed) == 500
     for m in trace.completed:
         assert abs(m.wait_travel) <= 1e-9
+
+
+def test_grid_sweep_is_busy_from_first_arrival_to_horizon():
+    # the leg in flight at the horizon is billed up to the horizon
+    cfg = _two_by_two_config(0.01, seed=12)
+    sim = Simulation(cfg, make_policy("grid_partitioning", cfg),
+                     StopRule(horizon=400.0))
+    trace = sim.run()
+    busy = trace.total_travel_distance / cfg.speed + trace.receiving_time
+    assert busy == pytest.approx(400.0 - sim.messages[0].arrival_time,
+                                 abs=1e-9)
+
+
+class _HopByHopGrid(GridPartitioning):
+    """The sweep one hop per leg, as it was before empty cells were jumped:
+    the reference the jumping sweep must match. ``driven`` logs each hop's
+    length."""
+
+    def attach(self, sim):
+        super().attach(sim)
+        self.driven = []
+
+    def next_action(self, sim, collector_id):
+        queue = self.stops[self.cursor][1]
+        if queue:
+            return Receive(queue.popleft())
+        if len(self.stops) == 1:
+            return WAIT
+        if math.isinf(sim.config.speed) and not any(self.queues):
+            return WAIT  # zero-time hops forever would not advance the clock
+        self.driven.append(self.hops[self.cursor])
+        self.cursor = (self.cursor + 1) % len(self.stops)
+        return TravelTo(self.stops[self.cursor][0])
+
+
+def _serpentine_config(arrival_rate: float, seed: int) -> ScenarioConfig:
+    # radius exactly 5 on a 700-area region: a 4 x 4 serpentine
+    return replace(_two_by_two_config(arrival_rate, seed), area=700.0)
+
+
+def _assert_same_service(new, ref, end_time):
+    assert [m.id for m in new] == [m.id for m in ref]
+    for a, b in zip(new, ref):
+        assert a.arrival_time == b.arrival_time
+        for t in ("reception_start", "departure_time"):
+            assert getattr(a, t) == pytest.approx(getattr(b, t),
+                                                  abs=1e-10 * end_time)
+
+
+@pytest.mark.parametrize("make_config", [
+    lambda seed: case2_config(0.3, seed), lambda seed: case2_config(0.8, seed),
+    lambda seed: _two_by_two_config(0.1, seed),
+    lambda seed: _serpentine_config(0.05, seed),
+], ids=["case2@0.3", "case2@0.8", "2x2", "4x4"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_grid_jump_matches_hop_by_hop(make_config, seed):
+    cfg = make_config(seed)
+    stop = StopRule(max_messages=5000)
+    new = run(cfg, make_policy("grid_partitioning", cfg), stop)
+    ref_policy = _HopByHopGrid()
+    ref = run(cfg, ref_policy, stop)
+    assert new.end_time == pytest.approx(ref.end_time, rel=1e-10)
+    _assert_same_service(new.completed, ref.completed, ref.end_time)
+    # the exact length of the reference path: the reference's own running
+    # total, summed one hop at a time, drifts from it by up to 1.2e-12
+    assert new.total_travel_distance == pytest.approx(
+        math.fsum(ref_policy.driven), rel=1e-12)
+
+
+@pytest.mark.parametrize("load", [0.3, 0.7])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_fleet_grid_jump_matches_hop_by_hop(monkeypatch, load, seed):
+    cfg = fleet_config(load, seed)
+    stop = StopRule(max_messages=5000)
+    new = run(cfg, make_policy("multi_partitioning", cfg), stop)
+    monkeypatch.setitem(policies._SINGLE_KINDS, PolicyKind.GRID_PARTITIONING,
+                        _HopByHopGrid)
+    ref = run(cfg, make_policy("multi_partitioning", cfg), stop)
+    # a round-off tie can reorder two collectors' completions
+    by_id = lambda trace: sorted(trace.completed, key=lambda m: m.id)
+    assert new.end_time == pytest.approx(ref.end_time, rel=1e-10)
+    _assert_same_service(by_id(new), by_id(ref), ref.end_time)
+    assert new.total_travel_distance == pytest.approx(
+        ref.total_travel_distance, rel=1e-12)
 
 
 # -- partitioned fleets --------------------------------------------------------------------
