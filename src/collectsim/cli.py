@@ -301,24 +301,30 @@ def _result_cells(policy: str, load: float, r: SimResult,
 # experiment execution
 
 
-def _simulate(spec: ExperimentSpec, kind: PolicyKind, load: float,
-              seed: int) -> EventTrace:
-    """Run one (policy, load, seed) cell to its message target."""
-    config = scenario_config(spec, load, seed)
-    policy = make_policy(kind, config, inner=spec.inner)
-    return run(config, policy, StopRule(max_messages=spec.messages))
+def _simulate(config: ScenarioConfig, kind: PolicyKind, inner: PolicyKind,
+              stop: StopRule) -> EventTrace:
+    """Run one seed of a (policy, load) cell until its stop rule fires."""
+    return run(config, make_policy(kind, config, inner=inner), stop)
 
 
-def _run_cell(args) -> TraceStats:
-    spec, kind, load, seed = args
+def _run_cell(job) -> TraceStats:
+    config, kind, inner, stop, warmup = job
     try:
-        return trace_stats(_simulate(spec, kind, load, seed),
-                           warmup_fraction=spec.warmup)
+        return trace_stats(_simulate(config, kind, inner, stop),
+                           warmup_fraction=warmup)
     except Exception as exc:
         # notes survive the pickling that carries a worker's exception back
-        exc.add_note(f"in cell policy={kind.value} load={_fmt(load)} "
-                     f"seed={seed}")
+        exc.add_note(f"in cell policy={kind.value} load={_fmt(config.load)} "
+                     f"seed={config.seed}")
         raise
+
+
+def run_cells(jobs, parallel: int = 1) -> list[TraceStats]:
+    """Summarise each ``(config, kind, inner, stop, warmup)`` job, in order."""
+    if parallel > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=parallel) as pool:
+            return list(pool.map(_run_cell, jobs, chunksize=1))
+    return [_run_cell(job) for job in jobs]
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
@@ -326,15 +332,12 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
     """Simulate every (policy, load, seed) cell, pool seeds, and write
     results.csv with one row per (policy, load)."""
     cells = [(kind, load) for kind in spec.policies for load in spec.loads]
-    jobs = [(spec, kind, load, seed)
+    jobs = [(scenario_config(spec, load, seed), kind, spec.inner,
+             StopRule(max_messages=spec.messages), spec.warmup)
             for kind, load in cells for seed in spec.seeds]
-    if parallel > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            parts = list(pool.map(_run_cell, jobs, chunksize=1))
-    else:
-        parts = [_run_cell(job) for job in jobs]
+    parts = run_cells(jobs, parallel)
 
-    # map keeps job order, so each cell's seeds are one consecutive slice
+    # run_cells keeps job order, so each cell's seeds are one consecutive slice
     n = len(spec.seeds)
     lines = [",".join(RESULT_COLUMNS)]
     for i, (kind, load) in enumerate(cells):
@@ -368,7 +371,9 @@ def trace_run(spec: ExperimentSpec, out_dir: str | Path) -> Path:
     """Run the first (policy, load, seed) cell and dump its messages."""
     if not spec.loads:
         raise ConfigurationError("sweep.loads: trace needs at least one load")
-    trace = _simulate(spec, spec.policies[0], spec.loads[0], spec.seeds[0])
+    trace = _simulate(scenario_config(spec, spec.loads[0], spec.seeds[0]),
+                      spec.policies[0], spec.inner,
+                      StopRule(max_messages=spec.messages))
     return dump_messages(trace, Path(out_dir) / "messages.csv")
 
 

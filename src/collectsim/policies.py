@@ -56,48 +56,36 @@ class Fcfs(_SingleCollectorPolicy):
 
     def attach(self, sim: Simulation) -> None:
         self.queue: deque[int] = deque()
-        sim.collectors[self.collector_id].position = self._region_center(sim)
-
-    def on_arrival(self, sim: Simulation, msg: Message) -> None:
-        self.queue.append(msg.id)
-
-    def next_action(self, sim: Simulation, collector_id: int) -> Action:
-        if not self.queue:
-            return WAIT
-        collector = sim.collectors[collector_id]
-        target = sim.messages[self.queue[0]].location
-        if in_range(collector.position, target, sim.radius):
-            return Receive(self.queue.popleft())
-        return TravelTo(reception_point(collector.position, target, sim.radius))
-
-
-class FcfsReturn(_SingleCollectorPolicy):
-    """Arrival-order service with a twist: after every reception the
-    collector first returns to the region center before the next decision."""
-
-    name = "fcfs_return"
-
-    def attach(self, sim: Simulation) -> None:
-        self.queue: deque[int] = deque()
         self.center = self._region_center(sim)
-        self._return_due = False
         sim.collectors[self.collector_id].position = self.center
 
     def on_arrival(self, sim: Simulation, msg: Message) -> None:
         self.queue.append(msg.id)
 
     def next_action(self, sim: Simulation, collector_id: int) -> Action:
-        if self._return_due:
-            self._return_due = False
-            return TravelTo(self.center)
         if not self.queue:
             return WAIT
         collector = sim.collectors[collector_id]
         target = sim.messages[self.queue[0]].location
         if in_range(collector.position, target, sim.radius):
-            self._return_due = True
             return Receive(self.queue.popleft())
         return TravelTo(reception_point(collector.position, target, sim.radius))
+
+
+class FcfsReturn(Fcfs):
+    """Arrival-order service with a twist: after every reception the
+    collector first returns to the region center before the next decision."""
+
+    name = "fcfs_return"
+    _return_due = False
+
+    def next_action(self, sim: Simulation, collector_id: int) -> Action:
+        if self._return_due:
+            self._return_due = False
+            return TravelTo(self.center)
+        action = super().next_action(sim, collector_id)
+        self._return_due = isinstance(action, Receive)
+        return action
 
 
 class TspnCyclic(_SingleCollectorPolicy):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 from scipy.special import stdtrit
@@ -167,12 +168,17 @@ def _batch_means(values: np.ndarray) -> tuple[float, ...]:
 
 
 def trace_stats(trace: EventTrace, warmup_fraction: float = 0.2) -> TraceStats:
-    """Reduce one trace to batch means and occupancy slice means after
-    discarding the warmup fraction of completed messages."""
+    """Reduce one trace, in (departure time, id) order, to batch means and
+    occupancy slice means after discarding its warmup fraction of messages."""
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(f"warmup_fraction must be in [0, 1), got "
                          f"{warmup_fraction}")
     completed = trace.completed
+    departures = np.array([m.departure_time for m in completed], dtype=float)
+    if (departures[1:] == departures[:-1]).any():
+        # exact ties (lockstep fleet collectors) leave the engine in heap order
+        completed = sorted(completed, key=attrgetter("departure_time", "id"))
+        departures.sort()
     n_warm = int(len(completed) * warmup_fraction)
     kept = completed[n_warm:]
     if trace.diverged:
@@ -183,7 +189,8 @@ def trace_stats(trace: EventTrace, warmup_fraction: float = 0.2) -> TraceStats:
         if verdict != "diverged" and len(kept) < MIN_KEPT_MESSAGES:
             verdict = "inconclusive"
 
-    delays = np.array([m.delay for m in kept], dtype=float)
+    delays = departures[n_warm:] - np.array([m.arrival_time for m in kept],
+                                            dtype=float)
     travel = np.array([m.wait_travel for m in kept], dtype=float)
     service = np.array([m.wait_service for m in kept], dtype=float)
     t0 = completed[n_warm - 1].departure_time if n_warm > 0 else 0.0

@@ -1,4 +1,4 @@
-"""Shared scenario builders, cell runner and the session sweep matrix.
+"""Shared scenario builders and the session sweep matrix.
 
 The acceptance tests all draw on one matrix of simulation cells; running it
 once per session keeps the suite inside its time budget. Module tests use
@@ -6,13 +6,15 @@ the same builders for small one-off runs.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from collectsim.bounds import multi_lb_avg, single_collector_lb
+from collectsim.cli import run_cells
 from collectsim.core import ScenarioConfig
-from collectsim.engine import Simulation, StopRule
-from collectsim.policies import PolicyKind, make_policy
-from collectsim.stats import SimResult, TraceStats, pool_stats, trace_stats
+from collectsim.engine import StopRule
+from collectsim.policies import PolicyKind
+from collectsim.stats import SimResult, TraceStats, pool_stats
 
 # Linear SNR for the 17 dB / 20 dB operating points (decoding threshold 2,
 # fourth-power path loss) giving reception radii of about 2.24 and 2.66.
@@ -74,12 +76,9 @@ class Cell:
     policy: str
     load: float
     seeds: tuple[int, ...]
-    max_messages: int
     config: ScenarioConfig  # representative config (first seed)
     parts: tuple[TraceStats, ...]  # per-seed summaries, seed order
     result: SimResult
-    diverged: tuple[bool, ...]  # per-seed engine divergence flags
-    completed: tuple[int, ...]  # per-seed completed-message counts
 
     @property
     def verdicts(self) -> tuple[str, ...]:
@@ -93,39 +92,6 @@ class Cell:
         return multi_lb_avg(self.config)
 
 
-def run_cell(scenario: str, builder, kind: PolicyKind, load: float,
-             seeds: tuple[int, ...], max_messages: int,
-             divergence_threshold: float | None = None,
-             warmup: float = 0.2) -> Cell:
-    parts = []
-    diverged = []
-    completed = []
-    config = None
-    for seed in seeds:
-        cfg = builder(load, seed)
-        if config is None:
-            config = cfg
-        sim = Simulation(cfg, make_policy(kind, cfg),
-                         StopRule(max_messages=max_messages,
-                                  divergence_threshold=divergence_threshold))
-        trace = sim.run()
-        parts.append(trace_stats(trace, warmup))
-        diverged.append(trace.diverged)
-        completed.append(len(trace.completed))
-    return Cell(
-        scenario=scenario,
-        policy=kind.value,
-        load=load,
-        seeds=seeds,
-        max_messages=max_messages,
-        config=config,
-        parts=tuple(parts),
-        result=pool_stats(parts),
-        diverged=tuple(diverged),
-        completed=tuple(completed),
-    )
-
-
 # -- the session sweep matrix ------------------------------------------------
 
 RECEPTION_QUEUE_LOADS = {0.3: 30_000, 0.5: 50_000, 0.8: 100_000}
@@ -134,44 +100,60 @@ FLEET_LOADS = (0.3, 0.5, 0.7, 0.9)
 FCFS_LOADS = (0.3, 0.5, 0.8)
 DICHOTOMY_LOAD = 0.95
 DICHOTOMY_SEEDS = (31, 32, 33, 34, 35)
+WARMUP = 0.2
 
+_GRID = PolicyKind.GRID_PARTITIONING
+_FCFS = PolicyKind.FCFS
+_TSPN = PolicyKind.TSPN_CYCLIC
 
-def build_matrix() -> list[Cell]:
-    """Run every sweep cell the acceptance tests share (serial; ~2 min)."""
-    grid = PolicyKind.GRID_PARTITIONING
-    cells: list[Cell] = []
-    for load, cap in RECEPTION_QUEUE_LOADS.items():
-        cells.append(run_cell("reception_queue", reception_queue_config,
-                              grid, load, (1, 2, 3, 4, 5), cap))
-    for load in CASE2_SWEEP_LOADS:
-        cells.append(run_cell("case2", case2_config, grid, load,
-                              (11, 12, 13, 14), 25_000))
-    for load in FLEET_LOADS:
-        cells.append(run_cell("fleet", fleet_config,
-                              PolicyKind.MULTI_PARTITIONING, load,
-                              (21, 22, 23), 30_000))
-    for load in FCFS_LOADS:
-        cells.append(run_cell("case2", case2_config, PolicyKind.FCFS, load,
-                              (11, 12), 20_000))
-        cells.append(run_cell("case2", case2_config, PolicyKind.FCFS_RETURN,
-                              load, (11, 12), 20_000))
+# (scenario, builder, kind, loads, seeds, message budget, divergence
+# threshold or None for the engine default); one cell per load, in order
+MATRIX = (
+    *(("reception_queue", reception_queue_config, _GRID, (load,),
+       (1, 2, 3, 4, 5), budget, None)
+      for load, budget in RECEPTION_QUEUE_LOADS.items()),
+    ("case2", case2_config, _GRID, CASE2_SWEEP_LOADS, (11, 12, 13, 14),
+     25_000, None),
+    ("fleet", fleet_config, PolicyKind.MULTI_PARTITIONING, FLEET_LOADS,
+     (21, 22, 23), 30_000, None),
+    *(("case2", case2_config, kind, (load,), (11, 12), 20_000, None)
+      for load in FCFS_LOADS for kind in (_FCFS, PolicyKind.FCFS_RETURN)),
     # stability dichotomy at high load: oldest-first diverges, the cyclic
     # policies stay put. The oldest-first drift is ~0.004 messages per time
     # unit, so its threshold crossing needs the full message budget; the
     # tour policy needs long runs for its occupancy slices to settle.
-    cells.append(run_cell("case2", case2_config, PolicyKind.FCFS,
-                          DICHOTOMY_LOAD, DICHOTOMY_SEEDS, 200_000))
-    cells.append(run_cell("case2", case2_config, PolicyKind.TSPN_CYCLIC,
-                          DICHOTOMY_LOAD, DICHOTOMY_SEEDS, 200_000))
-    cells.append(run_cell("case2", case2_config, grid,
-                          DICHOTOMY_LOAD, DICHOTOMY_SEEDS, 40_000))
+    ("case2", case2_config, _FCFS, (DICHOTOMY_LOAD,), DICHOTOMY_SEEDS,
+     200_000, None),
+    ("case2", case2_config, _TSPN, (DICHOTOMY_LOAD,), DICHOTOMY_SEEDS,
+     200_000, None),
+    ("case2", case2_config, _GRID, (DICHOTOMY_LOAD,), DICHOTOMY_SEEDS,
+     40_000, None),
     # tour-policy stability example on the wide region; its stable occupancy
     # is travel-dominated (~740), above the queueing-scaled default trigger,
     # so this cell carries an explicit generous threshold.
-    cells.append(run_cell("wide_region", wide_region_config,
-                          PolicyKind.TSPN_CYCLIC, 0.8, (41, 42, 43, 44, 45),
-                          30_000, divergence_threshold=5000.0))
-    return cells
+    ("wide_region", wide_region_config, _TSPN, (0.8,), (41, 42, 43, 44, 45),
+     30_000, 5000.0),
+)
+
+
+def build_matrix() -> list[Cell]:
+    """Run every sweep cell the acceptance tests share: one job per
+    (cell, seed), all through the CLI's ``run_cells`` on every CPU."""
+    cells = [(scenario, kind, load, seeds,
+              [(builder(load, seed), kind, _GRID,
+                StopRule(max_messages=budget, divergence_threshold=threshold),
+                WARMUP) for seed in seeds])
+             for scenario, builder, kind, loads, seeds, budget, threshold
+             in MATRIX for load in loads]
+    parts = iter(run_cells([job for *_, jobs in cells for job in jobs],
+                           parallel=os.cpu_count() or 1))
+    out = []
+    for scenario, kind, load, seeds, jobs in cells:
+        cell_parts = tuple(next(parts) for _ in jobs)
+        out.append(Cell(scenario=scenario, policy=kind.value, load=load,
+                        seeds=seeds, config=jobs[0][0], parts=cell_parts,
+                        result=pool_stats(cell_parts)))
+    return out
 
 
 def find_cells(matrix: list[Cell], scenario: str | None = None,

@@ -15,12 +15,14 @@ from collectsim import cli
 from collectsim.cli import (BOUNDS_COLUMNS, KEYS, MESSAGE_COLUMNS,
                             RESULT_COLUMNS, ExperimentSpec, atomic_write_text,
                             bounds_table, build_spec, db_to_linear, dump_messages,
-                            load_spec, main, parse_config_text, run_experiment,
-                            scenario_config, trace_run)
+                            load_spec, main, parse_config_text, run_cells,
+                            run_experiment, scenario_config, trace_run)
 from collectsim.commmodel import reception_radius
 from collectsim.core import ConfigurationError
 from collectsim.engine import StopRule, run as engine_run
 from collectsim.policies import PolicyKind, make_policy
+
+from matrixlib import case2_config, fleet_config
 
 MINI = """
 # covered-by-one-disk region: a pure reception queue, fast to simulate
@@ -302,6 +304,22 @@ def test_parallel_equals_serial(tmp_path):
     serial = run_experiment(spec, tmp_path / "serial", parallel=1)
     parallel = run_experiment(spec, tmp_path / "parallel", parallel=2)
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_run_cells_parallel_equals_serial():
+    # the acceptance matrix's path: cells of two seeds and of one, a fleet
+    # job and a stop rule whose divergence threshold fires, in job order
+    grid = PolicyKind.GRID_PARTITIONING
+    jobs = [(case2_config(0.5, seed), grid, grid, StopRule(max_messages=1200),
+             0.2) for seed in (1, 2)]
+    jobs.append((fleet_config(0.5, 3), PolicyKind.MULTI_PARTITIONING, grid,
+                 StopRule(max_messages=1200), 0.2))
+    jobs.append((case2_config(1.1, 4), PolicyKind.FCFS, grid,
+                 StopRule(max_messages=1200, divergence_threshold=30.0), 0.2))
+    serial = run_cells(jobs, parallel=1)
+    assert [p.seed for p in serial] == [1, 2, 3, 4]
+    assert serial[-1].verdict == "diverged"
+    assert run_cells(jobs, parallel=2) == serial
 
 
 def test_run_experiment_empty_loads_writes_header_only(tmp_path):

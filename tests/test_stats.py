@@ -123,6 +123,25 @@ def test_trace_stats_constant_delay():
     assert result.messages_counted == 1600
 
 
+def test_trace_stats_ignores_the_order_of_tied_completions():
+    # messages 1 and 2 finish at the same instant with different delays and
+    # fall in different batches (64 messages, 32 batches of two), so a batch
+    # mean would follow whichever of the two the trace lists first
+    msgs = _constant_delay_messages(64, delay=3.0)
+    tied = msgs[1]
+    tied.departure_time = msgs[2].departure_time
+    tied.reception_start = tied.departure_time - 1.0
+    tied.wait_service = tied.delay - 1.0
+    swapped = msgs[:1] + [msgs[2], msgs[1]] + msgs[3:]
+    occupancy = [(m.arrival_time, 1) for m in msgs]
+    a, b = (trace_stats(_synthetic_trace(completed, occupancy,
+                                         end_time=msgs[-1].departure_time),
+                        warmup_fraction=0.0)
+            for completed in (msgs, swapped))
+    assert a == b
+    assert a.delay_batches[:2] == (3.5, 3.0)  # ties batched in id order
+
+
 def test_trace_stats_occupancy_integration_hand_case():
     msgs = _constant_delay_messages(4, delay=1.0)
     occupancy = [(0.0, 1), (5.0, 2), (10.0, 1), (20.0, 0)]
