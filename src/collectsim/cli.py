@@ -64,7 +64,6 @@ class ExperimentSpec:
     path_loss: float
     collectors: int
     policies: tuple[PolicyKind, ...]
-    inner: PolicyKind
     loads: tuple[float, ...]
     snr_db_sweep: tuple[float, ...]
     seeds: tuple[int, ...]
@@ -171,8 +170,6 @@ KEYS = {
     "policy.kinds": ("policies", "grid_partitioning",
                      _parse_list(_parse_policy),
                      "comma-separated distinct policy names"),
-    "policy.inner": ("inner", "grid_partitioning", _parse_policy,
-                     "per-subregion policy for multi_partitioning"),
     "sweep.loads": ("loads", None, _parse_list(_parse_float),
                     "comma-separated distinct loads in (0, 1.2]"),
     "sweep.snr_db": ("snr_db_sweep", "", _parse_list(_parse_float),
@@ -301,16 +298,16 @@ def _result_cells(policy: str, load: float, r: SimResult,
 # experiment execution
 
 
-def _simulate(config: ScenarioConfig, kind: PolicyKind, inner: PolicyKind,
+def _simulate(config: ScenarioConfig, kind: PolicyKind,
               stop: StopRule) -> EventTrace:
     """Run one seed of a (policy, load) cell until its stop rule fires."""
-    return run(config, make_policy(kind, config, inner=inner), stop)
+    return run(config, make_policy(kind, config), stop)
 
 
 def _run_cell(job) -> TraceStats:
-    config, kind, inner, stop, warmup = job
+    config, kind, stop, warmup = job
     try:
-        return trace_stats(_simulate(config, kind, inner, stop),
+        return trace_stats(_simulate(config, kind, stop),
                            warmup_fraction=warmup)
     except Exception as exc:
         # notes survive the pickling that carries a worker's exception back
@@ -320,7 +317,7 @@ def _run_cell(job) -> TraceStats:
 
 
 def run_cells(jobs, parallel: int = 1) -> list[TraceStats]:
-    """Summarise each ``(config, kind, inner, stop, warmup)`` job, in order."""
+    """Summarise each ``(config, kind, stop, warmup)`` job, in order."""
     if parallel > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             return list(pool.map(_run_cell, jobs, chunksize=1))
@@ -332,7 +329,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
     """Simulate every (policy, load, seed) cell, pool seeds, and write
     results.csv with one row per (policy, load)."""
     cells = [(kind, load) for kind in spec.policies for load in spec.loads]
-    jobs = [(scenario_config(spec, load, seed), kind, spec.inner,
+    jobs = [(scenario_config(spec, load, seed), kind,
              StopRule(max_messages=spec.messages), spec.warmup)
             for kind, load in cells for seed in spec.seeds]
     parts = run_cells(jobs, parallel)
@@ -372,8 +369,7 @@ def trace_run(spec: ExperimentSpec, out_dir: str | Path) -> Path:
     if not spec.loads:
         raise ConfigurationError("sweep.loads: trace needs at least one load")
     trace = _simulate(scenario_config(spec, spec.loads[0], spec.seeds[0]),
-                      spec.policies[0], spec.inner,
-                      StopRule(max_messages=spec.messages))
+                      spec.policies[0], StopRule(max_messages=spec.messages))
     return dump_messages(trace, Path(out_dir) / "messages.csv")
 
 

@@ -139,12 +139,6 @@ class Message:
     wait_travel: float | None = None
     wait_service: float | None = None
 
-    @property
-    def delay(self) -> float | None:
-        if self.departure_time is None:
-            return None
-        return self.departure_time - self.arrival_time
-
 
 # --------------------------------------------------------------------------
 # service grid
@@ -195,11 +189,6 @@ class RegionGrid:
         if k % 2 == 0:
             return self.cell_side
         return (k // 2) * math.sqrt(2.0) * self.cell_side
-
-    @property
-    def cycle_length(self) -> float:
-        """Total length of the closed sweep through every cell center."""
-        return (self.num_cells - 1) * self.cell_side + self.closing_edge
 
     def cell_of(self, p: Point) -> int:
         """Row-major number of the cell containing ``p``.

@@ -317,8 +317,8 @@ class Simulation:
         self._schedule_next_arrival()
         horizon = self.stop.horizon
         target = self.stop.max_messages
-        end_time = 0.0
-        while self._heap:
+        # the next arrival is always queued: only the stop rule ends the run
+        while True:
             time, kind, _, ref = heapq.heappop(self._heap)
             if horizon is not None and time > horizon:
                 end_time = horizon
@@ -338,8 +338,6 @@ class Simulation:
                     end_time = time
                     break
                 self._dispatch(self.collectors[ref])
-        else:  # queue exhausted (cannot happen while arrivals reschedule)
-            end_time = self.time
         self._bill_legs_in_flight(end_time)
         receiving = sum(c.receiving_time(end_time) for c in self.collectors)
         return EventTrace(

@@ -1,15 +1,14 @@
 """Collector routing policies, interchangeable over the engine's action
 interface.
 
-Single-collector policies accept an optional subregion (origin and area) so
-the partitioned multi-collector policy can run one instance per subregion;
-by default they operate on the whole region. Policy objects are one-shot:
+Every policy works on the whole region, except the grid sweep: it accepts an
+optional subregion (origin and area) so the partitioned multi-collector
+policy can run one sweep per subregion. Policy objects are one-shot:
 ``attach`` initializes all mutable state at the start of a run.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from enum import Enum
 
@@ -28,27 +27,7 @@ class PolicyKind(str, Enum):
     MULTI_PARTITIONING = "multi_partitioning"
 
 
-class _SingleCollectorPolicy:
-    """Shared subregion plumbing for policies driving one collector."""
-
-    def __init__(self, collector_id: int = 0, origin: Point | None = None,
-                 area: float | None = None) -> None:
-        self.collector_id = collector_id
-        self._origin = origin
-        self._area = area
-
-    def _region(self, sim: Simulation) -> tuple[Point, float]:
-        origin = self._origin if self._origin is not None else Point(0.0, 0.0)
-        area = self._area if self._area is not None else sim.config.area
-        return origin, area
-
-    def _region_center(self, sim: Simulation) -> Point:
-        origin, area = self._region(sim)
-        half = math.sqrt(area) / 2.0
-        return Point(origin.x + half, origin.y + half)
-
-
-class Fcfs(_SingleCollectorPolicy):
+class Fcfs:
     """Serve messages strictly in arrival order: drive to the oldest
     message's reception point, receive, move on to the next."""
 
@@ -56,8 +35,8 @@ class Fcfs(_SingleCollectorPolicy):
 
     def attach(self, sim: Simulation) -> None:
         self.queue: deque[int] = deque()
-        self.center = self._region_center(sim)
-        sim.collectors[self.collector_id].position = self.center
+        self.center = sim.config.center
+        sim.collectors[0].position = self.center
 
     def on_arrival(self, sim: Simulation, msg: Message) -> None:
         self.queue.append(msg.id)
@@ -88,7 +67,7 @@ class FcfsReturn(Fcfs):
         return action
 
 
-class TspnCyclic(_SingleCollectorPolicy):
+class TspnCyclic:
     """Epoch service from the region center: freeze the pending set, plan
     one closed tour through all of its reception disks, execute it, return
     to the center. Arrivals during a tour wait for the next epoch.
@@ -100,13 +79,12 @@ class TspnCyclic(_SingleCollectorPolicy):
     name = "tspn_cyclic"
 
     def attach(self, sim: Simulation) -> None:
-        origin, area = self._region(sim)
-        self.grid = build_grid(area, sim.radius, origin)
+        self.grid = build_grid(sim.config.area, sim.radius)
         self.center = self.grid.center
         self.pending: list[int] = []
         self.script: deque[Action] = deque()
         self.epochs: list[tuple[float, tuple[int, ...], str, float]] = []
-        sim.collectors[self.collector_id].position = self.center
+        sim.collectors[0].position = self.center
 
     def on_arrival(self, sim: Simulation, msg: Message) -> None:
         self.pending.append(msg.id)
@@ -129,7 +107,7 @@ class TspnCyclic(_SingleCollectorPolicy):
         return self.script.popleft()
 
 
-class GridPartitioning(_SingleCollectorPolicy):
+class GridPartitioning:
     """Sweep the covering grid's cells in cyclic order, exhausting each
     cell's queue from its center before hopping to the next cell. The
     collector keeps cycling when everything is empty (reservation travel is
@@ -147,9 +125,15 @@ class GridPartitioning(_SingleCollectorPolicy):
 
     name = "grid_partitioning"
 
+    def __init__(self, collector_id: int = 0, origin: Point = Point(0.0, 0.0),
+                 area: float | None = None) -> None:
+        self.collector_id = collector_id
+        self.origin = origin
+        self.area = area
+
     def attach(self, sim: Simulation) -> None:
-        origin, area = self._region(sim)
-        self.grid = build_grid(area, sim.radius, origin)
+        area = self.area if self.area is not None else sim.config.area
+        self.grid = build_grid(area, sim.radius, self.origin)
         # queues are indexed by cell number, stops by visit order
         self.queues = [deque() for _ in range(self.grid.num_cells)]
         self.stops = [(self.grid.cell_center(cell), self.queues[cell])
@@ -197,27 +181,21 @@ class GridPartitioning(_SingleCollectorPolicy):
 
 class MultiPartitioning:
     """Split the region into equal square subregions, one collector each,
-    and run an independent single-collector policy per subregion. Message
-    to collector assignment is a pure function of location."""
+    and run an independent grid sweep per subregion. Message to collector
+    assignment is a pure function of location."""
 
     name = "multi_partitioning"
-
-    def __init__(self, inner: PolicyKind = PolicyKind.GRID_PARTITIONING) -> None:
-        if inner == PolicyKind.MULTI_PARTITIONING:
-            raise ConfigurationError("inner policy cannot itself be partitioned")
-        self.inner_kind = inner
 
     def attach(self, sim: Simulation) -> None:
         j = fleet_side(sim.config.collectors)
         # subregions are the cells of a j x j grid, numbered row-major
         self.fleet = RegionGrid(Point(0.0, 0.0), sim.config.side, j)
         sub_side = self.fleet.cell_side
-        self.inners: list[_SingleCollectorPolicy] = []
+        self.inners: list[GridPartitioning] = []
         for i in range(self.fleet.num_cells):
             row, col = divmod(i, j)
-            origin = Point(col * sub_side, row * sub_side)
-            inner = _SINGLE_KINDS[self.inner_kind](
-                collector_id=i, origin=origin, area=sub_side ** 2)
+            inner = GridPartitioning(i, Point(col * sub_side, row * sub_side),
+                                     sub_side ** 2)
             inner.attach(sim)
             self.inners.append(inner)
 
@@ -236,14 +214,13 @@ _SINGLE_KINDS = {
 }
 
 
-def make_policy(kind: PolicyKind | str, config: ScenarioConfig,
-                inner: PolicyKind | str = PolicyKind.GRID_PARTITIONING):
+def make_policy(kind: PolicyKind | str, config: ScenarioConfig):
     """Build a fresh policy instance for one run, validating the collector
     count against the chosen kind."""
     kind = PolicyKind(kind)
     if kind == PolicyKind.MULTI_PARTITIONING:
         fleet_side(config.collectors)
-        return MultiPartitioning(inner=PolicyKind(inner))
+        return MultiPartitioning()
     if config.collectors != 1:
         raise ConfigurationError(
             f"policy {kind.value!r} drives a single collector; "

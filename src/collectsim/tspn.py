@@ -29,12 +29,11 @@ class TourStop:
 
 @dataclass(frozen=True, slots=True)
 class Tour:
-    """Closed tour: start -> each stop in order -> end (= start)."""
+    """Closed tour: start -> each stop in order -> back to start."""
 
     stops: tuple[TourStop, ...]
     total_length: float
     start: Point
-    end: Point
     method: str
 
     @property
@@ -87,15 +86,10 @@ def grid_cover_tour(messages: Sequence, grid: RegionGrid,
     for msg in messages:
         buckets.setdefault(grid.cell_of(msg.location), []).append(msg.id)
     if not buckets:
-        return Tour((), 0.0, start, start, "grid_cover")
+        return Tour((), 0.0, start, "grid_cover")
     order = sorted(buckets, key=grid.visit_rank)
     pts = [grid.cell_center(cell) for cell in order]
     m = len(pts)
-    if m == 1:
-        stop = TourStop(pts[0], tuple(buckets[order[0]]))
-        return Tour((stop,), 2.0 * distance(start, pts[0]), start, start,
-                    "grid_cover")
-
     seg = [distance(pts[i], pts[(i + 1) % m]) for i in range(m)]
     perimeter = sum(seg)
     best_j, best_len = 0, math.inf
@@ -109,7 +103,7 @@ def grid_cover_tour(messages: Sequence, grid: RegionGrid,
     stops = tuple(
         TourStop(pts[(best_j + i) % m], tuple(buckets[order[(best_j + i) % m]]))
         for i in range(m))
-    return Tour(stops, best_len, start, start, "grid_cover")
+    return Tour(stops, best_len, start, "grid_cover")
 
 
 # --------------------------------------------------------------------------
@@ -255,7 +249,7 @@ def nn_tspn_tour(messages: Sequence, radius: float, start: Point) -> Tour:
     improvement round is kept only if the re-projected tour got shorter.
     """
     if not messages:
-        return Tour((), 0.0, start, start, "tspn")
+        return Tour((), 0.0, start, "tspn")
     by_id = {m.id: m.location for m in messages}
     if len(messages) <= _FLOAT_GREEDY_MAX:
         stops = _greedy_stops_float(messages, radius, start)
@@ -275,7 +269,7 @@ def nn_tspn_tour(messages: Sequence, radius: float, start: Point) -> Tour:
         else:
             break
     tour_stops = tuple(TourStop(p, tuple(mids)) for p, mids in best)
-    return Tour(tour_stops, best_len, start, start, "tspn")
+    return Tour(tour_stops, best_len, start, "tspn")
 
 
 def plan_tour(messages: Sequence, grid: RegionGrid, radius: float,
@@ -284,7 +278,7 @@ def plan_tour(messages: Sequence, grid: RegionGrid, radius: float,
     if start is None:
         start = grid.center
     if not messages:
-        return Tour((), 0.0, start, start, "empty")
+        return Tour((), 0.0, start, "empty")
     cover = grid_cover_tour(messages, grid, start)
     greedy = nn_tspn_tour(messages, radius, start)
     return greedy if greedy.total_length < cover.total_length else cover

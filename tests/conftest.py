@@ -2,8 +2,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 import matrixlib
+
+# a fixed example search: the tier-1 outcome must not depend on the draw
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -140,7 +140,7 @@ def build_matrix() -> list[Cell]:
     """Run every sweep cell the acceptance tests share: one job per
     (cell, seed), all through the CLI's ``run_cells`` on every CPU."""
     cells = [(scenario, kind, load, seeds,
-              [(builder(load, seed), kind, _GRID,
+              [(builder(load, seed), kind,
                 StopRule(max_messages=budget, divergence_threshold=threshold),
                 WARMUP) for seed in seeds])
              for scenario, builder, kind, loads, seeds, budget, threshold

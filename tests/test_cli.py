@@ -87,7 +87,6 @@ def test_build_spec_applies_defaults():
     assert spec.snr_threshold == 2.0
     assert spec.path_loss == 4.0
     assert spec.collectors == 1
-    assert spec.inner == PolicyKind.GRID_PARTITIONING
     assert spec.warmup == 0.2
     assert spec.seeds == (1, 2)
     assert spec.loads == (0.3, 0.5)
@@ -110,7 +109,7 @@ def test_build_spec_applies_defaults():
     ("policy.kinds = grid_partitioning, grid_partitioning",
      "policy.kinds: entries must be distinct"),
     ("policy.kinds = teleport", "policy.kinds"),
-    ("policy.inner = teleport", "policy.inner"),
+    ("policy.inner = grid_partitioning", "unknown configuration key"),
     ("scenario.area = sixty", "expected a number"),
     ("run.messages = many", "expected an integer"),
 ])
@@ -310,11 +309,11 @@ def test_run_cells_parallel_equals_serial():
     # the acceptance matrix's path: cells of two seeds and of one, a fleet
     # job and a stop rule whose divergence threshold fires, in job order
     grid = PolicyKind.GRID_PARTITIONING
-    jobs = [(case2_config(0.5, seed), grid, grid, StopRule(max_messages=1200),
-             0.2) for seed in (1, 2)]
-    jobs.append((fleet_config(0.5, 3), PolicyKind.MULTI_PARTITIONING, grid,
+    jobs = [(case2_config(0.5, seed), grid, StopRule(max_messages=1200), 0.2)
+            for seed in (1, 2)]
+    jobs.append((fleet_config(0.5, 3), PolicyKind.MULTI_PARTITIONING,
                  StopRule(max_messages=1200), 0.2))
-    jobs.append((case2_config(1.1, 4), PolicyKind.FCFS, grid,
+    jobs.append((case2_config(1.1, 4), PolicyKind.FCFS,
                  StopRule(max_messages=1200, divergence_threshold=30.0), 0.2))
     serial = run_cells(jobs, parallel=1)
     assert [p.seed for p in serial] == [1, 2, 3, 4]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collectsim.core import (ConfigurationError, Message, Point, RegionGrid,
+from collectsim.core import (ConfigurationError, Point, RegionGrid,
                              ScenarioConfig, build_grid, distance,
                              uniform_point)
 
@@ -94,12 +94,6 @@ def test_config_allows_infinite_speed():
     assert math.isinf(_config(speed=math.inf).speed)
 
 
-def test_message_delay_property():
-    msg = Message(id=0, arrival_time=1.5, location=Point(0, 0),
-                  departure_time=4.0)
-    assert msg.delay == pytest.approx(2.5)
-
-
 # -- grid construction against hand-computed geometry -------------------------
 
 GRID_TABLE = [
@@ -126,7 +120,6 @@ def test_grid_single_cell_region():
     g = build_grid(4.0, 4.0)
     assert g.num_cells == 1
     assert g.closing_edge == 0.0
-    assert g.cycle_length == 0.0
     assert g.cell_center(g.cycle()[0]) == g.center
 
 
@@ -149,8 +142,6 @@ def test_grid_cycle_hops_are_one_cell_side():
         expected_closing = (g.cell_side if k % 2 == 0
                             else (k // 2) * math.sqrt(2.0) * g.cell_side)
         assert g.closing_edge == pytest.approx(expected_closing, rel=1e-12)
-        assert g.cycle_length == pytest.approx(
-            (k * k - 1) * g.cell_side + g.closing_edge, rel=1e-12)
 
 
 # the visit order, written out by hand as (col, row) per step

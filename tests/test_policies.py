@@ -48,8 +48,16 @@ def test_make_policy_validates_collector_count():
         make_policy("multi_partitioning", bad)  # 3 is not a square
     with pytest.raises(ValueError):
         make_policy("no_such_policy", multi_cfg)
-    with pytest.raises(ConfigurationError):
-        MultiPartitioning(inner=PolicyKind.MULTI_PARTITIONING)
+    # each collector sweeps its own fleet cell, from that cell's corner
+    pol = make_policy("multi_partitioning", multi_cfg)
+    pol.attach(Simulation(multi_cfg, pol))
+    half = pol.fleet.cell_side / 2.0
+    assert len(pol.inners) == pol.fleet.num_cells
+    for i, inner in enumerate(pol.inners):
+        assert isinstance(inner, GridPartitioning)
+        center = pol.fleet.cell_center(i)
+        assert (inner.grid.origin.x, inner.grid.origin.y) == pytest.approx(
+            (center.x - half, center.y - half), rel=1e-12)
 
 
 def test_policy_instances_are_resettable():
@@ -80,7 +88,8 @@ def test_fcfs_isolated_message_delay():
     d = distance(cfg.center, msg.location)
     assert d > R_WIDE  # seed 0's first arrival is outside the disk
     expected = (d - R_WIDE) / cfg.speed + cfg.reception_time
-    assert msg.delay == pytest.approx(expected, rel=1e-12)
+    assert msg.departure_time - msg.arrival_time == pytest.approx(
+        expected, rel=1e-12)
     assert msg.wait_travel == pytest.approx((d - R_WIDE) / cfg.speed,
                                             rel=1e-12)
     assert msg.wait_service == pytest.approx(0.0, abs=1e-12)
@@ -119,7 +128,8 @@ def test_fcfs_return_pays_for_the_detour():
     # same arrival stream and service order, but every reception is followed
     # by a hop back to the center: substantially more travel, larger delays
     assert detour.total_travel_distance > plain.total_travel_distance
-    mean = lambda t: sum(m.delay for m in t.completed) / len(t.completed)
+    mean = lambda t: sum(m.departure_time - m.arrival_time
+                         for m in t.completed) / len(t.completed)
     assert mean(detour) > mean(plain)
 
 
@@ -177,8 +187,8 @@ def test_tspn_isolated_message_delay():
     msg = trace.completed[0]
     d = distance(cfg.center, msg.location)
     assert d > R_WIDE
-    assert msg.delay == pytest.approx((d - R_WIDE) / cfg.speed
-                                      + cfg.reception_time, rel=1e-9)
+    assert msg.departure_time - msg.arrival_time == pytest.approx(
+        (d - R_WIDE) / cfg.speed + cfg.reception_time, rel=1e-9)
 
 
 def test_tspn_tour_lengths_respect_the_cap():
@@ -321,9 +331,10 @@ def test_fleet_grid_jump_matches_hop_by_hop(monkeypatch, load, seed):
     cfg = fleet_config(load, seed)
     stop = StopRule(max_messages=5000)
     new = run(cfg, make_policy("multi_partitioning", cfg), stop)
-    monkeypatch.setitem(policies._SINGLE_KINDS, PolicyKind.GRID_PARTITIONING,
-                        _HopByHopGrid)
-    ref = run(cfg, make_policy("multi_partitioning", cfg), stop)
+    monkeypatch.setattr(policies, "GridPartitioning", _HopByHopGrid)
+    ref_policy = make_policy("multi_partitioning", cfg)
+    ref = run(cfg, ref_policy, stop)
+    assert all(type(p) is _HopByHopGrid for p in ref_policy.inners)
     # a round-off tie can reorder two collectors' completions
     by_id = lambda trace: sorted(trace.completed, key=lambda m: m.id)
     assert new.end_time == pytest.approx(ref.end_time, rel=1e-10)

@@ -101,6 +101,17 @@ def test_detector_mild_drift_is_inconclusive():
     assert detect_divergence(samples) == "inconclusive"
 
 
+def test_detector_takes_pairs_or_an_array():
+    flat = [(float(i), 5) for i in range(1, 1000)]
+    growth = [(float(i), i * i) for i in range(1, 1000)]
+    drift = [(float(i), 10 if i < 667 else 16) for i in range(1, 1000)]
+    for samples, threshold in [([], None), (flat, None), (flat, 4.0),
+                               (growth, None), (drift, None)]:
+        verdict = detect_divergence(samples, threshold)
+        assert detect_divergence(np.array(samples, dtype=float).reshape(-1, 2),
+                                 threshold) == verdict
+
+
 # -- per-trace summaries ---------------------------------------------------------------
 
 
@@ -131,7 +142,7 @@ def test_trace_stats_ignores_the_order_of_tied_completions():
     tied = msgs[1]
     tied.departure_time = msgs[2].departure_time
     tied.reception_start = tied.departure_time - 1.0
-    tied.wait_service = tied.delay - 1.0
+    tied.wait_service = tied.departure_time - tied.arrival_time - 1.0
     swapped = msgs[:1] + [msgs[2], msgs[1]] + msgs[3:]
     occupancy = [(m.arrival_time, 1) for m in msgs]
     a, b = (trace_stats(_synthetic_trace(completed, occupancy,

@@ -25,7 +25,7 @@ def _random_messages(rng, n: int, side: float) -> list[Message]:
 
 
 def _hop_sum(tour: Tour) -> float:
-    pts = [tour.start] + [s.point for s in tour.stops] + [tour.end]
+    pts = [tour.start] + [s.point for s in tour.stops] + [tour.start]
     return sum(distance(a, b) for a, b in zip(pts, pts[1:]))
 
 
@@ -61,7 +61,7 @@ def test_grid_cover_empty_batch():
     tour = grid_cover_tour([], grid)
     assert tour.stops == ()
     assert tour.total_length == 0.0
-    assert tour.start == tour.end == grid.center
+    assert tour.start == grid.center
     assert tour.method == "grid_cover"
 
 
@@ -198,7 +198,7 @@ def test_nn_tour_invariants_random():
         start = uniform_point(rng, 14.0)
         tour = nn_tspn_tour(msgs, radius, start)
         assert sorted(tour.message_ids) == list(range(n))
-        assert tour.start == tour.end == start
+        assert tour.start == start
         assert tour.total_length == pytest.approx(_hop_sum(tour), rel=1e-9)
         by_stop = {i: s.point for s in tour.stops for i in s.message_ids}
         for m in msgs:
