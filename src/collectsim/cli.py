@@ -197,6 +197,8 @@ def build_spec(mapping: dict[str, str]) -> ExperimentSpec:
 
     if not spec.policies:
         raise ConfigurationError("policy.kinds: at least one policy required")
+    if not spec.loads:
+        raise ConfigurationError("sweep.loads: at least one load required")
     for load in spec.loads:
         if not 0.0 < load <= 1.2:
             raise ConfigurationError(
@@ -209,8 +211,7 @@ def build_spec(mapping: dict[str, str]) -> ExperimentSpec:
         raise ConfigurationError(
             f"run.warmup: must lie in [0, 1), got {spec.warmup}")
     # fail fast on scenario-level problems (positivity, path-loss range)
-    if spec.loads:
-        scenario_config(spec, spec.loads[0], spec.seeds[0])
+    scenario_config(spec, spec.loads[0], spec.seeds[0])
     return spec
 
 
@@ -247,8 +248,12 @@ def atomic_write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
                                suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as handle:
+            # mkstemp's 0600 becomes the mode a plain write would give
+            os.fchmod(fd, 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -366,8 +371,6 @@ def bounds_table(spec: ExperimentSpec, out_dir: str | Path) -> Path:
 
 def trace_run(spec: ExperimentSpec, out_dir: str | Path) -> Path:
     """Run the first (policy, load, seed) cell and dump its messages."""
-    if not spec.loads:
-        raise ConfigurationError("sweep.loads: trace needs at least one load")
     trace = _simulate(scenario_config(spec, spec.loads[0], spec.seeds[0]),
                       spec.policies[0], StopRule(max_messages=spec.messages))
     return dump_messages(trace, Path(out_dir) / "messages.csv")

@@ -1,8 +1,8 @@
 """Continuous-time event loop driving collectors under a routing policy.
 
 The engine owns physics and bookkeeping: Poisson arrivals, straight-line
-motion at constant speed, fixed-length receptions, occupancy sampling and
-the per-message wait decomposition. All routing decisions come from the
+motion at constant speed, fixed-length receptions, the per-message timing
+records and wait decomposition. All routing decisions come from the
 attached policy through a three-verb action interface.
 """
 
@@ -130,18 +130,17 @@ class StopRule:
 class EventTrace:
     """Everything a run recorded.
 
-    ``occupancy_samples`` holds (time, messages in system) after every
-    arrival and every departure. ``receiving_time`` is summed over
-    collectors up to ``end_time``, so receiving_time / (m * end_time) is
-    the measured load.
+    ``messages`` keeps every generated message in id order (departure_time
+    None: unfinished at ``end_time``); the number in system is derived from
+    them. ``completed`` lists the finished ones in completion order.
+    ``receiving_time`` is summed over collectors up to ``end_time``, so
+    receiving_time / (m * end_time) is the measured load.
     """
 
     config: ScenarioConfig
-    policy_name: str
+    messages: list[Message]
     completed: list[Message]
-    occupancy_samples: list[tuple[float, int]]
     total_travel_distance: float
-    generated: int
     end_time: float
     receiving_time: float
     diverged: bool
@@ -199,8 +198,6 @@ class Simulation:
         self.completed: list[Message] = []
         self.collectors = [CollectorState(i, config.center)
                            for i in range(config.collectors)]
-        self.in_system = 0
-        self.occupancy_samples: list[tuple[float, int]] = []
         self.total_travel_distance = 0.0
         self.diverged = False
         if self.stop.divergence_threshold is not None:
@@ -271,8 +268,6 @@ class Simulation:
         self.messages.append(msg)
         self._busy_at_arrival.append(
             tuple(c.receiving_time(self.time) for c in self.collectors))
-        self.in_system += 1
-        self.occupancy_samples.append((self.time, self.in_system))
         self._schedule_next_arrival()
         self.policy.on_arrival(self, msg)
         for c in self.collectors:
@@ -293,8 +288,6 @@ class Simulation:
         collector.receiving_since = None
         collector.receiving_id = None
         collector.phase = "idle"
-        self.in_system -= 1
-        self.occupancy_samples.append((self.time, self.in_system))
         self.completed.append(msg)
 
     def _bill_legs_in_flight(self, end_time: float) -> None:
@@ -317,6 +310,7 @@ class Simulation:
         self._schedule_next_arrival()
         horizon = self.stop.horizon
         target = self.stop.max_messages
+        messages, completed = self.messages, self.completed
         # the next arrival is always queued: only the stop rule ends the run
         while True:
             time, kind, _, ref = heapq.heappop(self._heap)
@@ -326,7 +320,7 @@ class Simulation:
             self.time = time
             if kind == _ARRIVAL:
                 self._handle_arrival()
-                if self.in_system > self.divergence_threshold:
+                if len(messages) - len(completed) > self.divergence_threshold:
                     self.diverged = True
                     end_time = time
                     break
@@ -334,7 +328,7 @@ class Simulation:
                 self._handle_travel_done(self.collectors[ref])
             else:
                 self._handle_reception_done(self.collectors[ref])
-                if target is not None and len(self.completed) >= target:
+                if target is not None and len(completed) >= target:
                     end_time = time
                     break
                 self._dispatch(self.collectors[ref])
@@ -342,11 +336,9 @@ class Simulation:
         receiving = sum(c.receiving_time(end_time) for c in self.collectors)
         return EventTrace(
             config=self.config,
-            policy_name=self.policy.name,
+            messages=self.messages,
             completed=self.completed,
-            occupancy_samples=self.occupancy_samples,
             total_travel_distance=self.total_travel_distance,
-            generated=len(self.messages),
             end_time=end_time,
             receiving_time=receiving,
             diverged=self.diverged,

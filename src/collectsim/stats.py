@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
 
 import numpy as np
 from scipy.special import stdtrit
@@ -80,7 +78,16 @@ class ScalingFit:
 
 
 # --------------------------------------------------------------------------
-# occupancy step-function integration
+# occupancy step function
+
+
+def occupancy_steps(arrivals, departures) -> np.ndarray:
+    """(time, messages in system) after each arrival and each departure, in
+    event order: at equal times departures come first, as in the engine."""
+    times = np.concatenate((departures, arrivals))
+    steps = np.repeat((-1.0, 1.0), (len(departures), len(arrivals)))
+    order = np.lexsort((steps, times))
+    return np.column_stack((times[order], np.cumsum(steps[order])))
 
 
 def _step_integral(times: np.ndarray, values: np.ndarray,
@@ -121,7 +128,7 @@ def _mean_ci(values: np.ndarray) -> tuple[float, float]:
             tq * float(values.std(ddof=1)) / math.sqrt(len(values)))
 
 
-def detect_divergence(occupancy_samples, threshold: float | None = None) -> str:
+def detect_divergence(samples, threshold: float | None = None) -> str:
     """Classify an occupancy trajectory, any sequence of (time, count)
     samples, as stable, diverged or inconclusive.
 
@@ -131,7 +138,7 @@ def detect_divergence(occupancy_samples, threshold: float | None = None) -> str:
     width at most half the mean) and the last third has not grown past 1.5x
     the middle third. Anything else is inconclusive.
     """
-    occ = np.asarray(occupancy_samples, dtype=float).reshape(-1, 2)
+    occ = np.asarray(samples, dtype=float).reshape(-1, 2)
     if not len(occ):
         return "stable"
     if threshold is not None and occ[:, 1].max() > threshold:
@@ -165,23 +172,21 @@ def _batch_means(values: np.ndarray) -> tuple[float, ...]:
 
 
 def trace_stats(trace: EventTrace, warmup_fraction: float = 0.2) -> TraceStats:
-    """Reduce one trace, in (departure time, id) order, to batch means and
-    occupancy slice means after discarding its warmup fraction of messages."""
+    """Reduce one trace's finished messages, in (departure time, id) order,
+    and the occupancy they imply to batch means and slice means after
+    discarding its warmup fraction of finished messages."""
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(f"warmup_fraction must be in [0, 1), got "
                          f"{warmup_fraction}")
-    completed = trace.completed
-    departures = np.array([m.departure_time for m in completed], dtype=float)
-    if (departures[1:] == departures[:-1]).any():
-        # exact ties (lockstep fleet collectors) leave the engine in heap order
-        completed = sorted(completed, key=attrgetter("departure_time", "id"))
-        departures.sort()
-    n_warm = int(len(completed) * warmup_fraction)
-    kept = completed[n_warm:]
-    # a flat pass over the pairs takes a third of np.array's time on tuples
-    samples = trace.occupancy_samples
-    occ = np.fromiter(chain.from_iterable(samples), dtype=float,
-                      count=2 * len(samples)).reshape(-1, 2)
+    messages = trace.messages
+    arrivals = np.array([m.arrival_time for m in messages], dtype=float)
+    departures = np.array([m.departure_time for m in messages], dtype=float)
+    done = np.flatnonzero(~np.isnan(departures))  # unfinished: None -> nan
+    # exact ties (lockstep fleet collectors) are ordered by id
+    done = done[np.lexsort((done, departures[done]))]
+    n_warm = int(len(done) * warmup_fraction)
+    kept = done[n_warm:]
+    occ = occupancy_steps(arrivals, departures[done])
     if trace.diverged:
         verdict = "diverged"
     else:
@@ -189,11 +194,10 @@ def trace_stats(trace: EventTrace, warmup_fraction: float = 0.2) -> TraceStats:
         if verdict != "diverged" and len(kept) < MIN_KEPT_MESSAGES:
             verdict = "inconclusive"
 
-    delays = departures[n_warm:] - np.array([m.arrival_time for m in kept],
-                                            dtype=float)
-    travel = np.array([m.wait_travel for m in kept], dtype=float)
-    service = np.array([m.wait_service for m in kept], dtype=float)
-    t0 = completed[n_warm - 1].departure_time if n_warm > 0 else 0.0
+    delays = departures[kept] - arrivals[kept]
+    travel = np.array([m.wait_travel for m in messages], dtype=float)[kept]
+    service = np.array([m.wait_service for m in messages], dtype=float)[kept]
+    t0 = float(departures[done[n_warm - 1]]) if n_warm > 0 else 0.0
     t1 = max(trace.end_time, t0)
     slices = _occupancy_slice_means(occ, t0, t1, BATCHES)
     window = t1 - t0

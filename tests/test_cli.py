@@ -6,7 +6,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -104,6 +104,7 @@ def test_build_spec_applies_defaults():
     ("run.warmup = 1.0", "must lie in"),
     ("run.seeds = -3", "negative"),
     ("run.seeds =", "at least one seed"),
+    ("sweep.loads =", "at least one load"),
     ("run.seeds = 1, 1", "run.seeds: entries must be distinct"),
     ("sweep.loads = 0.5, 0.5", "sweep.loads: entries must be distinct"),
     ("policy.kinds = grid_partitioning, grid_partitioning",
@@ -200,6 +201,20 @@ def test_atomic_write_replaces_existing(tmp_path):
     atomic_write_text(target, "old")
     atomic_write_text(target, "new")
     assert target.read_text() == "new"
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600),
+                                        (0o002, 0o664)],
+                         ids=lambda bits: f"{bits:03o}")
+def test_atomic_write_gives_a_plain_write_mode(tmp_path, umask, mode):
+    saved = os.umask(umask)
+    try:
+        atomic_write_text(tmp_path / "out.txt", "payload")
+        (tmp_path / "plain.txt").write_text("payload")
+    finally:
+        os.umask(saved)
+    assert (tmp_path / "out.txt").stat().st_mode & 0o777 == mode
+    assert (tmp_path / "plain.txt").stat().st_mode & 0o777 == mode
 
 
 # -- experiment runner -----------------------------------------------------------------
@@ -322,7 +337,8 @@ def test_run_cells_parallel_equals_serial():
 
 
 def test_run_experiment_empty_loads_writes_header_only(tmp_path):
-    spec = _mini(loads="", messages=1000, seeds="1")
+    # a config cannot leave sweep.loads empty; a library caller can
+    spec = replace(_mini(loads="0.5", messages=1000, seeds="1"), loads=())
     out = run_experiment(spec, tmp_path)
     assert out.read_text() == ",".join(RESULT_COLUMNS) + "\n"
 
@@ -419,12 +435,6 @@ def test_dump_messages_rerun_is_byte_identical(tmp_path):
     a = dump_messages(trace, tmp_path / "a.csv")
     b = dump_messages(trace, tmp_path / "b.csv")
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_trace_run_requires_a_load():
-    spec = _mini(loads="", messages=100, seeds="1")
-    with pytest.raises(ConfigurationError, match="at least one load"):
-        trace_run(spec, ".")
 
 
 # -- entry point -------------------------------------------------------------------------------

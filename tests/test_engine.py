@@ -12,6 +12,7 @@ from collectsim.engine import (WAIT, EventTrace, Receive, Simulation,
                                StopRule, TravelTo, Wait, generate_arrivals,
                                run)
 from collectsim.policies import PolicyKind, make_policy
+from collectsim.stats import occupancy_steps
 
 from matrixlib import (case2_config, reception_queue_config,
                        wide_region_config)
@@ -73,8 +74,8 @@ def test_simulation_arrivals_match_generator():
     trace = sim.run()
     rng = np.random.default_rng(cfg.seed)
     arr = generate_arrivals(cfg.arrival_rate, trace.end_time, rng, cfg.side)
-    assert abs(len(arr) - trace.generated) <= 1
-    assert trace.generated >= 300
+    assert abs(len(arr) - len(trace.messages)) <= 1
+    assert len(trace.messages) >= 300
     for (t, loc), msg in zip(arr, sim.messages):
         assert msg.arrival_time == pytest.approx(t, rel=1e-12)
         assert msg.location == loc
@@ -90,7 +91,7 @@ def test_runs_are_reproducible():
     assert [m.departure_time for m in a.completed] == \
         [m.departure_time for m in b.completed]
     assert a.total_travel_distance == b.total_travel_distance
-    assert a.occupancy_samples == b.occupancy_samples
+    assert a.messages == b.messages
     assert a.end_time == b.end_time
 
 
@@ -134,16 +135,20 @@ def test_receiving_time_equals_completed_service():
 def test_occupancy_samples_track_arrivals_and_departures():
     cfg = reception_queue_config(0.3, seed=8)
     trace = run(cfg, _grid_policy(cfg), StopRule(max_messages=500))
-    times = [t for t, _ in trace.occupancy_samples]
-    assert times == sorted(times)
-    # occupancy steps by exactly +-1 and never goes negative
-    prev = 0
-    for _, n in trace.occupancy_samples:
-        assert abs(n - prev) == 1
-        assert n >= 0
-        prev = n
-    assert len(trace.occupancy_samples) == trace.generated + len(
-        trace.completed)
+    assert [m.id for m in trace.messages] == list(range(len(trace.messages)))
+    arrivals = [m.arrival_time for m in trace.messages]
+    assert arrivals == sorted(arrivals)
+    # completed holds exactly the messages with a departure time
+    assert all(trace.messages[m.id] is m for m in trace.completed)
+    assert {m.id for m in trace.completed} == {
+        m.id for m in trace.messages if m.departure_time is not None}
+    # the occupancy they imply steps by exactly +-1 and never goes negative
+    occ = occupancy_steps(arrivals, [m.departure_time
+                                     for m in trace.completed])
+    assert len(occ) == len(trace.messages) + len(trace.completed)
+    assert list(occ[:, 0]) == sorted(occ[:, 0])
+    assert (np.abs(np.diff(occ[:, 1], prepend=0.0)) == 1.0).all()
+    assert occ[:, 1].min() >= 0.0
 
 
 def test_pure_queue_regime_has_zero_travel_wait():
@@ -169,8 +174,10 @@ def test_pure_queue_departures_follow_lindley_recursion(load, seed):
     for m in trace.completed:
         previous = max(m.arrival_time, previous) + cfg.reception_time
         assert m.departure_time == previous
-    assert trace.occupancy_samples[-1][1] == (
-        trace.generated - len(trace.completed))
+    # first come first served: the unfinished messages are the latest ones
+    n = len(trace.completed)
+    assert trace.completed == trace.messages[:n]
+    assert all(m.departure_time is None for m in trace.messages[n:])
 
 
 # -- stop conditions ------------------------------------------------------------------
@@ -180,7 +187,7 @@ def test_message_target_stops_exactly():
     cfg = case2_config(0.5, seed=1)
     trace = run(cfg, _grid_policy(cfg), StopRule(max_messages=123))
     assert len(trace.completed) == 123
-    assert trace.generated >= 123
+    assert len(trace.messages) >= 123
 
 
 def test_horizon_stops_clock():
@@ -222,9 +229,10 @@ def test_unstable_fcfs_run_flags_divergence():
     cfg = wide_region_config(0.95, seed=6, reception_time=1.0, speed=2.0)
     trace = run(cfg, _fcfs(cfg), StopRule(max_messages=100_000))
     assert trace.diverged
-    assert trace.generated < 100_000
+    assert len(trace.messages) < 100_000
     # backlog at the stop exceeds the threshold
-    assert trace.occupancy_samples[-1][1] > trace.divergence_threshold
+    backlog = sum(m.departure_time is None for m in trace.messages)
+    assert backlog > trace.divergence_threshold
     # the same scenario under the cell sweep is comfortably stable
     sweep = run(cfg, _grid_policy(cfg), StopRule(max_messages=5_000))
     assert not sweep.diverged

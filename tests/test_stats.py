@@ -13,33 +13,40 @@ from collectsim.core import Message, Point
 from collectsim.engine import EventTrace, StopRule, run
 from collectsim.policies import make_policy
 from collectsim.stats import (MIN_KEPT_MESSAGES, ScalingFit, SimResult,
-                              TraceStats, detect_divergence, pool_stats,
-                              scaling_fit, trace_stats)
+                              TraceStats, detect_divergence, occupancy_steps,
+                              pool_stats, scaling_fit, trace_stats)
 
-from matrixlib import case1_config, case2_config, reception_queue_config
+from matrixlib import (case1_config, case2_config, fleet_config,
+                       reception_queue_config, wide_region_config)
 
 
-def _synthetic_trace(completed, occupancy, end_time, generated=None,
-                     diverged=False):
+def _synthetic_trace(messages, end_time, diverged=False, completed=None):
+    """A trace of ``messages`` in id order, whose arrival and departure
+    times imply its occupancy; ``completed`` defaults to the finished ones
+    in departure order."""
+    if completed is None:
+        completed = sorted((m for m in messages
+                            if m.departure_time is not None),
+                           key=lambda m: m.departure_time)
     cfg = reception_queue_config(0.5, seed=0)
-    return EventTrace(config=cfg, policy_name="synthetic",
-                      completed=completed, occupancy_samples=occupancy,
-                      total_travel_distance=0.0,
-                      generated=len(completed) if generated is None
-                      else generated,
-                      end_time=end_time, receiving_time=len(completed) * 1.0,
+    return EventTrace(config=cfg, messages=messages, completed=completed,
+                      total_travel_distance=0.0, end_time=end_time,
+                      receiving_time=len(completed) * 1.0,
                       diverged=diverged, divergence_threshold=500.0)
 
 
+def _message(i, arrival, departure, service=1.0):
+    """Message ``i``; a finished one waited only for other receptions."""
+    if departure is None:
+        return Message(id=i, arrival_time=arrival, location=Point(1.0, 1.0))
+    return Message(id=i, arrival_time=arrival, location=Point(1.0, 1.0),
+                   reception_start=departure - service,
+                   departure_time=departure, wait_travel=0.0,
+                   wait_service=departure - arrival - service)
+
+
 def _constant_delay_messages(n, delay, gap=1.0, service=1.0):
-    msgs = []
-    for i in range(n):
-        t = i * gap
-        msgs.append(Message(id=i, arrival_time=t, location=Point(1.0, 1.0),
-                            reception_start=t + delay - service,
-                            departure_time=t + delay,
-                            wait_travel=0.0, wait_service=delay - service))
-    return msgs
+    return [_message(i, i * gap, i * gap + delay, service) for i in range(n)]
 
 
 @pytest.fixture(scope="module")
@@ -112,17 +119,84 @@ def test_detector_takes_pairs_or_an_array():
                                  threshold) == verdict
 
 
+# -- occupancy from the message records ------------------------------------------------
+
+
+def _replay_occupancy(messages):
+    """(time, count) after each event, replayed one event at a time from
+    the arrivals in id order and the sorted departures: at equal times the
+    departure is handled first, as in the engine."""
+    arrivals = [m.arrival_time for m in messages]
+    departures = sorted(m.departure_time for m in messages
+                        if m.departure_time is not None)
+    samples, count, i, j = [], 0, 0, 0
+    while i < len(arrivals) or j < len(departures):
+        if j < len(departures) and (i == len(arrivals)
+                                    or departures[j] <= arrivals[i]):
+            count -= 1
+            samples.append((departures[j], count))
+            j += 1
+        else:
+            count += 1
+            samples.append((arrivals[i], count))
+            i += 1
+        assert count >= 0
+    return samples
+
+
+def _rebuilt_occupancy(messages):
+    occ = occupancy_steps(
+        [m.arrival_time for m in messages],
+        [m.departure_time for m in messages if m.departure_time is not None])
+    return [tuple(row) for row in occ.tolist()]
+
+
+def _fleet_trace_with_ties():
+    cfg = fleet_config(0.9, seed=1)
+    trace = run(cfg, make_policy("multi_partitioning", cfg),
+                StopRule(max_messages=4000))
+    departures = sorted(m.departure_time for m in trace.completed)
+    assert any(a == b for a, b in zip(departures, departures[1:]))
+    return trace
+
+
+def _diverged_trace():
+    cfg = wide_region_config(0.95, seed=6, reception_time=1.0, speed=2.0)
+    trace = run(cfg, make_policy("fcfs", cfg),
+                StopRule(max_messages=100_000, divergence_threshold=300.0))
+    assert trace.diverged
+    return trace
+
+
+def _horizon_trace():
+    cfg = case2_config(0.8, seed=3)
+    trace = run(cfg, make_policy("grid_partitioning", cfg),
+                StopRule(horizon=2000.0))
+    assert any(m.departure_time is None for m in trace.messages)
+    return trace
+
+
+@pytest.mark.parametrize("make_trace", [
+    _fleet_trace_with_ties, _diverged_trace, _horizon_trace])
+def test_occupancy_matches_event_replay(make_trace):
+    messages = make_trace().messages
+    assert _rebuilt_occupancy(messages) == _replay_occupancy(messages)
+
+
+def test_occupancy_puts_a_departure_before_a_simultaneous_arrival():
+    messages = [_message(0, 0.0, 5.0), _message(1, 5.0, 7.0),
+                _message(2, 6.0, None)]
+    expected = [(0.0, 1), (5.0, 0), (5.0, 1), (6.0, 2), (7.0, 1)]
+    assert _replay_occupancy(messages) == expected
+    assert _rebuilt_occupancy(messages) == expected
+
+
 # -- per-trace summaries ---------------------------------------------------------------
 
 
 def test_trace_stats_constant_delay():
     msgs = _constant_delay_messages(2000, delay=3.0)
-    occupancy = []
-    for m in msgs:
-        occupancy.append((m.arrival_time, 1))
-        occupancy.append((m.departure_time, 0))
-    occupancy.sort(key=lambda s: s[0])
-    trace = _synthetic_trace(msgs, occupancy, end_time=msgs[-1].departure_time)
+    trace = _synthetic_trace(msgs, end_time=msgs[-1].departure_time)
     ts = trace_stats(trace)
     assert ts.kept == 1600  # 20% warmup dropped
     assert ts.verdict == "stable"
@@ -139,14 +213,11 @@ def test_trace_stats_ignores_the_order_of_tied_completions():
     # fall in different batches (64 messages, 32 batches of two), so a batch
     # mean would follow whichever of the two the trace lists first
     msgs = _constant_delay_messages(64, delay=3.0)
-    tied = msgs[1]
-    tied.departure_time = msgs[2].departure_time
-    tied.reception_start = tied.departure_time - 1.0
-    tied.wait_service = tied.departure_time - tied.arrival_time - 1.0
+    msgs[1] = _message(1, msgs[1].arrival_time, msgs[2].departure_time)
     swapped = msgs[:1] + [msgs[2], msgs[1]] + msgs[3:]
-    occupancy = [(m.arrival_time, 1) for m in msgs]
-    a, b = (trace_stats(_synthetic_trace(completed, occupancy,
-                                         end_time=msgs[-1].departure_time),
+    a, b = (trace_stats(_synthetic_trace(msgs,
+                                         end_time=msgs[-1].departure_time,
+                                         completed=completed),
                         warmup_fraction=0.0)
             for completed in (msgs, swapped))
     assert a == b
@@ -154,9 +225,8 @@ def test_trace_stats_ignores_the_order_of_tied_completions():
 
 
 def test_trace_stats_occupancy_integration_hand_case():
-    msgs = _constant_delay_messages(4, delay=1.0)
-    occupancy = [(0.0, 1), (5.0, 2), (10.0, 1), (20.0, 0)]
-    trace = _synthetic_trace(msgs, occupancy, end_time=20.0)
+    msgs = [_message(0, 0.0, 10.0), _message(1, 5.0, 20.0)]
+    trace = _synthetic_trace(msgs, end_time=20.0)
     ts = trace_stats(trace, warmup_fraction=0.0)
     # step function: 1 on [0,5), 2 on [5,10), 1 on [10,20) -> mean 25/20
     assert ts.mean_occupancy == pytest.approx(1.25, rel=1e-12)
@@ -165,8 +235,7 @@ def test_trace_stats_occupancy_integration_hand_case():
 
 def test_trace_stats_short_run_is_inconclusive():
     msgs = _constant_delay_messages(MIN_KEPT_MESSAGES - 1, delay=2.0)
-    occupancy = [(m.arrival_time, 1) for m in msgs]
-    trace = _synthetic_trace(msgs, occupancy, end_time=msgs[-1].departure_time)
+    trace = _synthetic_trace(msgs, end_time=msgs[-1].departure_time)
     ts = trace_stats(trace, warmup_fraction=0.0)
     assert ts.kept == MIN_KEPT_MESSAGES - 1
     assert ts.verdict == "inconclusive"
@@ -174,16 +243,15 @@ def test_trace_stats_short_run_is_inconclusive():
 
 def test_trace_stats_diverged_flag_wins():
     msgs = _constant_delay_messages(2000, delay=3.0)
-    occupancy = [(m.arrival_time, 1) for m in msgs]
-    trace = _synthetic_trace(msgs, occupancy,
-                             end_time=msgs[-1].departure_time, diverged=True)
+    trace = _synthetic_trace(msgs, end_time=msgs[-1].departure_time,
+                             diverged=True)
     assert trace_stats(trace).verdict == "diverged"
     assert pool_stats([trace_stats(trace)]).stability == "diverged"
 
 
 def test_trace_stats_warmup_validation():
     msgs = _constant_delay_messages(10, delay=2.0)
-    trace = _synthetic_trace(msgs, [(0.0, 1)], end_time=12.0)
+    trace = _synthetic_trace(msgs, end_time=12.0)
     with pytest.raises(ValueError):
         trace_stats(trace, warmup_fraction=1.0)
     with pytest.raises(ValueError):
@@ -192,14 +260,13 @@ def test_trace_stats_warmup_validation():
 
 def test_trace_stats_fewer_messages_than_batches():
     msgs = _constant_delay_messages(10, delay=2.0)
-    occupancy = [(m.arrival_time, 1) for m in msgs]
-    trace = _synthetic_trace(msgs, occupancy, end_time=12.0)
+    trace = _synthetic_trace(msgs, end_time=12.0)
     ts = trace_stats(trace, warmup_fraction=0.0)
     assert len(ts.delay_batches) == 10
 
 
 def test_trace_stats_empty_trace():
-    trace = _synthetic_trace([], [], end_time=0.0)
+    trace = _synthetic_trace([], end_time=0.0)
     ts = trace_stats(trace)
     assert ts.kept == 0
     assert ts.verdict == "inconclusive"
@@ -210,8 +277,7 @@ def test_trace_stats_empty_trace():
 
 def test_trace_stats_is_picklable():
     msgs = _constant_delay_messages(50, delay=2.0)
-    trace = _synthetic_trace(msgs, [(m.arrival_time, 1) for m in msgs],
-                             end_time=60.0)
+    trace = _synthetic_trace(msgs, end_time=60.0)
     ts = trace_stats(trace, warmup_fraction=0.0)
     assert pickle.loads(pickle.dumps(ts)) == ts
 
