@@ -8,9 +8,9 @@ attached policy through a three-verb action interface.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Protocol
 
 import numpy as np
@@ -19,11 +19,10 @@ from .commmodel import in_range, reception_radius
 from .core import (ConfigurationError, ContractViolation, Message, Point,
                    ScenarioConfig, distance, uniform_point)
 
-# event kinds double as tie ranks: completions land before arrivals that
-# share a timestamp, receptions before travel
+# heap event kinds double as tie ranks: receptions end before travel legs
+# that share a timestamp
 _RECEPTION_DONE = 0
 _TRAVEL_DONE = 1
-_ARRIVAL = 2
 
 
 # --------------------------------------------------------------------------
@@ -182,7 +181,8 @@ class Simulation:
 
     Policies may inspect ``time``, ``messages``, ``collectors``, ``radius``,
     ``config`` and ``next_arrival_time``; all mutation goes through the
-    engine.
+    engine. The next arrival is drawn ahead: the arrival stream does not
+    depend on the policy's actions, so no message can arrive earlier.
     """
 
     def __init__(self, config: ScenarioConfig, policy: Policy,
@@ -207,36 +207,23 @@ class Simulation:
                 10.0,
                 config.arrival_rate * config.reception_time
                 / (1.0 - min(config.load, 0.99)))
-        self._busy_at_arrival: list[tuple[float, ...]] = []
+        self.next_arrival_time = 0.0
+        self._next_arrival_loc: Point | None = None
+        self._mean_gap = 1.0 / config.arrival_rate
+        self._side = config.side
+        # collector j's receiving time at message i's arrival: [i * m + j]
+        self._busy_at_arrival: list[float] = []
         self._heap: list[tuple[float, int, int, int]] = []
         self._seq = itertools.count()
-        self._next_arrival_loc: Point | None = None
-        self._next_arrival_time = 0.0
-
-    @property
-    def next_arrival_time(self) -> float:
-        """Time of the next, already drawn, arrival. The arrival stream does
-        not depend on the policy's actions, so no message can arrive
-        earlier."""
-        return self._next_arrival_time
 
     # -- scheduling helpers
 
-    def _push(self, time: float, kind: int, ref: int) -> None:
-        heapq.heappush(self._heap, (time, kind, next(self._seq), ref))
-
     def _schedule_next_arrival(self) -> None:
-        gap = self.rng.exponential(1.0 / self.config.arrival_rate)
-        self._next_arrival_time += gap
-        self._next_arrival_loc = uniform_point(self.rng, self.config.side)
-        self._push(self._next_arrival_time, _ARRIVAL, -1)
+        self.next_arrival_time += self.rng.exponential(self._mean_gap)
+        self._next_arrival_loc = uniform_point(self.rng, self._side)
 
     def _dispatch(self, collector: CollectorState) -> None:
         action = step_policy(self.policy, self, collector.id)
-        if isinstance(action, Wait):
-            collector.phase = "idle"
-            collector.target = None
-            return
         if isinstance(action, TravelTo):
             leg = action.length
             if leg is None:
@@ -245,20 +232,29 @@ class Simulation:
             collector.target = action.target
             collector.leg = leg
             collector.leg_start = self.time
-            self._push(self.time + leg / self.config.speed, _TRAVEL_DONE,
-                       collector.id)
+            heappush(self._heap, (self.time + leg / self.config.speed,
+                                  _TRAVEL_DONE, next(self._seq), collector.id))
             return
-        msg = self.messages[action.message_id]
-        msg.reception_start = self.time
-        served_busy = collector.receiving_time(self.time)
-        wait_service = served_busy - self._busy_at_arrival[msg.id][collector.id]
-        msg.wait_service = wait_service
-        msg.wait_travel = (self.time - msg.arrival_time) - wait_service
-        collector.phase = "receiving"
-        collector.receiving_id = msg.id
-        collector.receiving_since = self.time
-        self._push(self.time + self.config.reception_time, _RECEPTION_DONE,
-                   collector.id)
+        if isinstance(action, Receive):
+            msg = self.messages[action.message_id]
+            msg.reception_start = self.time
+            busy = self._busy_at_arrival[msg.id * len(self.collectors)
+                                         + collector.id]
+            wait_service = collector.receiving_time(self.time) - busy
+            msg.wait_service = wait_service
+            msg.wait_travel = (self.time - msg.arrival_time) - wait_service
+            collector.phase = "receiving"
+            collector.receiving_id = msg.id
+            collector.receiving_since = self.time
+            heappush(self._heap, (self.time + self.config.reception_time,
+                                  _RECEPTION_DONE, next(self._seq),
+                                  collector.id))
+            return
+        if not isinstance(action, Wait):
+            raise ContractViolation(f"policy {self.policy.name!r} returned "
+                                    f"{action!r}, which is not an action")
+        collector.phase = "idle"
+        collector.target = None
 
     # -- event handlers
 
@@ -266,8 +262,8 @@ class Simulation:
         msg = Message(id=len(self.messages), arrival_time=self.time,
                       location=self._next_arrival_loc)
         self.messages.append(msg)
-        self._busy_at_arrival.append(
-            tuple(c.receiving_time(self.time) for c in self.collectors))
+        self._busy_at_arrival.extend(
+            [c.receiving_time(self.time) for c in self.collectors])
         self._schedule_next_arrival()
         self.policy.on_arrival(self, msg)
         for c in self.collectors:
@@ -310,15 +306,19 @@ class Simulation:
         self._schedule_next_arrival()
         horizon = self.stop.horizon
         target = self.stop.max_messages
-        messages, completed = self.messages, self.completed
-        # the next arrival is always queued: only the stop rule ends the run
+        messages, completed, heap = self.messages, self.completed, self._heap
+        # the next arrival is drawn ahead and kept outside the heap, so only
+        # the stop rule ends the run; heap events at its instant go first
         while True:
-            time, kind, _, ref = heapq.heappop(self._heap)
+            if heap and heap[0][0] <= self.next_arrival_time:
+                time, kind, _, ref = heappop(heap)
+            else:
+                time, ref = self.next_arrival_time, -1
             if horizon is not None and time > horizon:
                 end_time = horizon
                 break
             self.time = time
-            if kind == _ARRIVAL:
+            if ref < 0:
                 self._handle_arrival()
                 if len(messages) - len(completed) > self.divergence_threshold:
                     self.diverged = True

@@ -77,8 +77,70 @@ def test_simulation_arrivals_match_generator():
     assert abs(len(arr) - len(trace.messages)) <= 1
     assert len(trace.messages) >= 300
     for (t, loc), msg in zip(arr, sim.messages):
-        assert msg.arrival_time == pytest.approx(t, rel=1e-12)
+        assert msg.arrival_time == t
         assert msg.location == loc
+
+
+# -- same-instant event order ------------------------------------------------------
+
+
+class _GapStub:
+    """Stands in for a simulation's generator: the given arrival gaps, then
+    a long quiet spell, with every message at the center of the region."""
+
+    def __init__(self, gaps):
+        self.gaps = list(gaps)
+
+    def exponential(self, scale):
+        return self.gaps.pop(0) if self.gaps else 1e6
+
+    def random(self):
+        return 0.5
+
+
+def test_completion_goes_before_an_arrival_at_the_same_instant():
+    # message 0 arrives at 1 and is received at once, so its reception ends
+    # at 2, the very instant message 1 arrives: the completion meets the
+    # target and the run ends before message 1 exists
+    cfg = reception_queue_config(0.5, seed=0)
+    sim = Simulation(cfg, _grid_policy(cfg), StopRule(max_messages=1))
+    sim.rng = _GapStub([1.0, cfg.reception_time])
+    trace = sim.run()
+    assert trace.end_time == 2.0
+    assert len(trace.messages) == 1
+
+
+class _TravelsThenReceives:
+    """Drives one unit south from the center, then receives message 0 and
+    records the time and the number of messages when the leg ended."""
+
+    name = "travels"
+
+    def attach(self, sim):
+        self.seen = []
+
+    def on_arrival(self, sim, msg):
+        pass
+
+    def next_action(self, sim, collector_id):
+        if sim.collectors[collector_id].position == sim.config.center:
+            return TravelTo(Point(1.0, 0.0))
+        self.seen.append((sim.time, len(sim.messages)))
+        return Receive(0)
+
+
+def test_leg_end_goes_before_an_arrival_at_the_same_instant():
+    # the leg starts at 1 with message 0 and takes one time unit, so it ends
+    # at 2, the very instant message 1 arrives: the policy decides first
+    cfg = reception_queue_config(0.5, seed=0)
+    policy = _TravelsThenReceives()
+    sim = Simulation(cfg, policy, StopRule(max_messages=1))
+    sim.rng = _GapStub([1.0, 1.0])
+    trace = sim.run()
+    assert policy.seen == [(2.0, 1)]
+    assert trace.end_time == 3.0
+    assert len(trace.messages) == 2
+    assert trace.total_travel_distance == 1.0
 
 
 # -- determinism -------------------------------------------------------------------
@@ -272,6 +334,11 @@ class _ReceivesTwice(_RogueBase):
         return WAIT
 
 
+class _ReturnsNothing(_RogueBase):
+    def next_action(self, sim, collector_id):
+        return None
+
+
 class _TravelsShort(_RogueBase):
     def __init__(self, length):
         self.length = length
@@ -309,6 +376,13 @@ def test_double_reception_is_rejected():
     cfg = reception_queue_config(0.5, seed=0)
     with pytest.raises(ContractViolation, match="twice"):
         run(cfg, _ReceivesTwice(), StopRule(max_messages=10))
+
+
+def test_non_action_is_rejected():
+    cfg = reception_queue_config(0.5, seed=0)
+    with pytest.raises(ContractViolation,
+                       match="policy 'rogue' returned None, which is not"):
+        run(cfg, _ReturnsNothing(), StopRule(max_messages=10))
 
 
 def test_wait_action_singleton():
