@@ -27,7 +27,7 @@ from .commmodel import reception_radius
 from .core import ConfigurationError, ScenarioConfig
 from .engine import EventTrace, StopRule, run
 from .policies import PolicyKind, make_policy
-from .stats import SimResult, TraceStats, pool_stats, trace_stats
+from .stats import SimResult, TraceStats, pool_stats, trace_stats, wait_split
 
 MAX_MESSAGES_PER_CELL = 200_000
 
@@ -265,13 +265,14 @@ def atomic_write_text(path: Path, text: str) -> None:
 def dump_messages(trace: EventTrace, path: str | Path) -> Path:
     """Write one row per completed message, sorted by departure time."""
     path = Path(path)
+    travel, service = (w.tolist() for w in wait_split(trace)[:2])
     lines = [",".join(MESSAGE_COLUMNS)]
     for m in sorted(trace.completed, key=lambda m: m.departure_time):
         lines.append(",".join((
             str(m.id), _fmt(m.arrival_time, 12), _fmt(m.location.x, 12),
             _fmt(m.location.y, 12), _fmt(m.reception_start, 12),
-            _fmt(m.departure_time, 12), _fmt(m.wait_travel, 12),
-            _fmt(m.wait_service, 12))))
+            _fmt(m.departure_time, 12), _fmt(travel[m.id], 12),
+            _fmt(service[m.id], 12))))
     atomic_write_text(path, "\n".join(lines) + "\n")
     return path
 
@@ -303,16 +304,10 @@ def _result_cells(policy: str, load: float, r: SimResult,
 # experiment execution
 
 
-def _simulate(config: ScenarioConfig, kind: PolicyKind,
-              stop: StopRule) -> EventTrace:
-    """Run one seed of a (policy, load) cell until its stop rule fires."""
-    return run(config, make_policy(kind, config), stop)
-
-
 def _run_cell(job) -> TraceStats:
     config, kind, stop, warmup = job
     try:
-        return trace_stats(_simulate(config, kind, stop),
+        return trace_stats(run(config, make_policy(kind, config), stop),
                            warmup_fraction=warmup)
     except Exception as exc:
         # notes survive the pickling that carries a worker's exception back
@@ -371,8 +366,9 @@ def bounds_table(spec: ExperimentSpec, out_dir: str | Path) -> Path:
 
 def trace_run(spec: ExperimentSpec, out_dir: str | Path) -> Path:
     """Run the first (policy, load, seed) cell and dump its messages."""
-    trace = _simulate(scenario_config(spec, spec.loads[0], spec.seeds[0]),
-                      spec.policies[0], StopRule(max_messages=spec.messages))
+    config = scenario_config(spec, spec.loads[0], spec.seeds[0])
+    trace = run(config, make_policy(spec.policies[0], config),
+                StopRule(max_messages=spec.messages))
     return dump_messages(trace, Path(out_dir) / "messages.csv")
 
 

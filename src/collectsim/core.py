@@ -33,14 +33,14 @@ def distance(a: Point, b: Point) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-def uniform_point(rng, side: float, origin: Point = Point(0.0, 0.0)) -> Point:
-    """Draw a uniform random point on an axis-aligned square.
+def uniform_point(rng, side: float) -> Point:
+    """Draw a uniform random point on the square [0, side]^2.
 
     Draw order is fixed (x first, then y) so traces are reproducible for a
     given generator state.
     """
-    x = origin.x + side * rng.random()
-    y = origin.y + side * rng.random()
+    x = side * rng.random()
+    y = side * rng.random()
     return Point(x, y)
 
 
@@ -125,10 +125,9 @@ def fleet_side(collectors: int) -> int:
 class Message:
     """One message, from arrival to completed reception.
 
-    Timing fields are filled in by the engine as the message progresses;
-    ``reception_start`` and ``departure_time`` stay None until then.
-    ``wait_travel`` is the part of the wait the eventual receiver spent
-    traveling or idle, ``wait_service`` the part it spent receiving others.
+    The engine fills in the rest as the message progresses:
+    ``reception_start`` and ``collector`` (the receiver) when its reception
+    starts, ``departure_time`` when it ends; each stays None until then.
     """
 
     id: int
@@ -136,8 +135,7 @@ class Message:
     location: Point
     reception_start: float | None = None
     departure_time: float | None = None
-    wait_travel: float | None = None
-    wait_service: float | None = None
+    collector: int | None = None
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Continuous-time event loop driving collectors under a routing policy.
 
-The engine owns physics and bookkeeping: Poisson arrivals, straight-line
-motion at constant speed, fixed-length receptions, the per-message timing
-records and wait decomposition. All routing decisions come from the
-attached policy through a three-verb action interface.
+The engine owns physics and records facts: Poisson arrivals, straight-line
+motion at constant speed, fixed-length receptions, and per message its
+arrival, reception start and end and receiver; ``stats`` derives the rest.
+All routing decisions come from the attached policy through a three-verb
+action interface.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from .commmodel import in_range, reception_radius
 from .core import (ConfigurationError, ContractViolation, Message, Point,
                    ScenarioConfig, distance, uniform_point)
 
-# heap event kinds double as tie ranks: receptions end before travel legs
-# that share a timestamp
+# heap events are (time, kind, seq, ref): ref is the collector of a travel
+# leg and the message of a reception. Kinds double as tie ranks: receptions
+# end before travel legs that share a timestamp
 _RECEPTION_DONE = 0
 _TRAVEL_DONE = 1
 
@@ -71,30 +73,17 @@ class Policy(Protocol):
 
 @dataclass(slots=True)
 class CollectorState:
-    """One collector: position, current activity and reception bookkeeping.
-
-    ``receiving_accum`` is total completed reception time; together with
-    ``receiving_since`` it gives the exact cumulative receiving time at any
-    instant, which the engine snapshots to attribute waits. ``leg`` and
+    """One collector: position and current activity. ``leg`` and
     ``leg_start`` are the length and start time of the current (or last)
-    travel leg.
+    travel leg; what it receives is recorded on the messages.
     """
 
     id: int
     position: Point
     phase: str = "idle"  # idle | traveling | receiving
     target: Point | None = None
-    receiving_id: int | None = None
-    receiving_accum: float = 0.0
-    receiving_since: float | None = None
     leg: float = 0.0
     leg_start: float = 0.0
-
-    def receiving_time(self, now: float) -> float:
-        """Cumulative time spent receiving, up to ``now``."""
-        if self.phase == "receiving":
-            return self.receiving_accum + (now - self.receiving_since)
-        return self.receiving_accum
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,10 +119,9 @@ class EventTrace:
     """Everything a run recorded.
 
     ``messages`` keeps every generated message in id order (departure_time
-    None: unfinished at ``end_time``); the number in system is derived from
-    them. ``completed`` lists the finished ones in completion order.
-    ``receiving_time`` is summed over collectors up to ``end_time``, so
-    receiving_time / (m * end_time) is the measured load.
+    None: unfinished at ``end_time``); the number in system, the wait split
+    and the receiving time are derived from them. ``completed`` lists the
+    finished ones in completion order.
     """
 
     config: ScenarioConfig
@@ -141,7 +129,6 @@ class EventTrace:
     completed: list[Message]
     total_travel_distance: float
     end_time: float
-    receiving_time: float
     diverged: bool
     divergence_threshold: float
 
@@ -211,8 +198,6 @@ class Simulation:
         self._next_arrival_loc: Point | None = None
         self._mean_gap = 1.0 / config.arrival_rate
         self._side = config.side
-        # collector j's receiving time at message i's arrival: [i * m + j]
-        self._busy_at_arrival: list[float] = []
         self._heap: list[tuple[float, int, int, int]] = []
         self._seq = itertools.count()
 
@@ -238,17 +223,10 @@ class Simulation:
         if isinstance(action, Receive):
             msg = self.messages[action.message_id]
             msg.reception_start = self.time
-            busy = self._busy_at_arrival[msg.id * len(self.collectors)
-                                         + collector.id]
-            wait_service = collector.receiving_time(self.time) - busy
-            msg.wait_service = wait_service
-            msg.wait_travel = (self.time - msg.arrival_time) - wait_service
+            msg.collector = collector.id
             collector.phase = "receiving"
-            collector.receiving_id = msg.id
-            collector.receiving_since = self.time
             heappush(self._heap, (self.time + self.config.reception_time,
-                                  _RECEPTION_DONE, next(self._seq),
-                                  collector.id))
+                                  _RECEPTION_DONE, next(self._seq), msg.id))
             return
         if not isinstance(action, Wait):
             raise ContractViolation(f"policy {self.policy.name!r} returned "
@@ -262,8 +240,6 @@ class Simulation:
         msg = Message(id=len(self.messages), arrival_time=self.time,
                       location=self._next_arrival_loc)
         self.messages.append(msg)
-        self._busy_at_arrival.extend(
-            [c.receiving_time(self.time) for c in self.collectors])
         self._schedule_next_arrival()
         self.policy.on_arrival(self, msg)
         for c in self.collectors:
@@ -276,15 +252,6 @@ class Simulation:
         collector.target = None
         collector.phase = "idle"
         self._dispatch(collector)
-
-    def _handle_reception_done(self, collector: CollectorState) -> None:
-        msg = self.messages[collector.receiving_id]
-        msg.departure_time = self.time
-        collector.receiving_accum += self.config.reception_time
-        collector.receiving_since = None
-        collector.receiving_id = None
-        collector.phase = "idle"
-        self.completed.append(msg)
 
     def _bill_legs_in_flight(self, end_time: float) -> None:
         """Add the part of each unfinished leg covered by ``end_time``. A leg
@@ -327,20 +294,21 @@ class Simulation:
             elif kind == _TRAVEL_DONE:
                 self._handle_travel_done(self.collectors[ref])
             else:
-                self._handle_reception_done(self.collectors[ref])
+                msg = messages[ref]
+                msg.departure_time = time
+                completed.append(msg)
+                self.collectors[msg.collector].phase = "idle"
                 if target is not None and len(completed) >= target:
                     end_time = time
                     break
-                self._dispatch(self.collectors[ref])
+                self._dispatch(self.collectors[msg.collector])
         self._bill_legs_in_flight(end_time)
-        receiving = sum(c.receiving_time(end_time) for c in self.collectors)
         return EventTrace(
             config=self.config,
             messages=self.messages,
             completed=self.completed,
             total_travel_distance=self.total_travel_distance,
             end_time=end_time,
-            receiving_time=receiving,
             diverged=self.diverged,
             divergence_threshold=self.divergence_threshold,
         )

@@ -1,6 +1,7 @@
 """Steady-state estimation over event traces.
 
-Warmup trimming, batch-means confidence intervals for the delay components,
+Warmup trimming, the wait split and receiving time replayed from the
+message records, batch-means confidence intervals for the delay components,
 time-weighted occupancy averages, a three-valued stability verdict and the
 log-log delay-scaling fit. Replications merge by pooling batch means, so
 parallel workers only need to ship the compact per-trace summary.
@@ -171,6 +172,41 @@ def _batch_means(values: np.ndarray) -> tuple[float, ...]:
     return tuple(float(chunk.mean()) for chunk in np.array_split(values, k))
 
 
+def wait_split(trace: EventTrace) -> tuple[np.ndarray, np.ndarray, float]:
+    """Each message's travel and service wait (nan before its reception
+    starts) and the receiving time of all collectors up to ``end_time``.
+
+    The service wait is the time the receiver spent receiving other messages
+    between the message's arrival and its reception start; the travel wait
+    is the rest of that interval. A collector's receiving time at an instant
+    is its finished receptions added up in start order plus the elapsed part
+    of a running one; a reception ending at an arrival's instant ends first.
+    """
+    messages = trace.messages
+    arrivals = np.array([m.arrival_time for m in messages], dtype=float)
+    starts = np.array([m.reception_start for m in messages], dtype=float)
+    departures = np.array([m.departure_time for m in messages], dtype=float)
+    receivers = np.array([m.collector for m in messages], dtype=float)
+    service = np.full(len(messages), np.nan)
+    receiving = 0.0
+    for c in range(trace.config.collectors):
+        ids = np.flatnonzero(receivers == c)
+        ids = ids[np.argsort(starts[ids], kind="stable")]
+        start, arrival = starts[ids], arrivals[ids]
+        finished = np.count_nonzero(~np.isnan(departures[ids]))
+        busy = np.concatenate(([0.0], np.cumsum(
+            np.full(finished, trace.config.reception_time))))
+        done = np.searchsorted(departures[ids[:finished]], arrival,
+                               side="right")
+        began = np.append(start, np.inf)[done]
+        at_arrival = np.where(began <= arrival,
+                              busy[done] + (arrival - began), busy[done])
+        service[ids] = busy[:len(ids)] - at_arrival
+        receiving += (busy[-1] + (trace.end_time - start[-1])
+                      if finished < len(ids) else busy[-1])
+    return (starts - arrivals) - service, service, float(receiving)
+
+
 def trace_stats(trace: EventTrace, warmup_fraction: float = 0.2) -> TraceStats:
     """Reduce one trace's finished messages, in (departure time, id) order,
     and the occupancy they imply to batch means and slice means after
@@ -195,8 +231,7 @@ def trace_stats(trace: EventTrace, warmup_fraction: float = 0.2) -> TraceStats:
             verdict = "inconclusive"
 
     delays = departures[kept] - arrivals[kept]
-    travel = np.array([m.wait_travel for m in messages], dtype=float)[kept]
-    service = np.array([m.wait_service for m in messages], dtype=float)[kept]
+    travel, service, receiving = wait_split(trace)
     t0 = float(departures[done[n_warm - 1]]) if n_warm > 0 else 0.0
     t1 = max(trace.end_time, t0)
     slices = _occupancy_slice_means(occ, t0, t1, BATCHES)
@@ -207,12 +242,12 @@ def trace_stats(trace: EventTrace, warmup_fraction: float = 0.2) -> TraceStats:
         seed=cfg.seed,
         kept=len(kept),
         delay_batches=_batch_means(delays),
-        travel_batches=_batch_means(travel),
-        service_batches=_batch_means(service),
+        travel_batches=_batch_means(travel[kept]),
+        service_batches=_batch_means(service[kept]),
         occupancy_slices=tuple(float(v) for v in slices),
         mean_occupancy=mean_occ,
         window=window,
-        receiving_time=trace.receiving_time,
+        receiving_time=receiving,
         end_time=trace.end_time,
         verdict=verdict,
         arrival_rate=cfg.arrival_rate,

@@ -115,7 +115,7 @@ def _completed_records(kind: PolicyKind, config: ScenarioConfig,
                      StopRule(max_messages=messages))
     trace = sim.run()
     return [(m.id, m.arrival_time, m.location, m.reception_start,
-             m.departure_time, m.wait_travel, m.wait_service)
+             m.departure_time, m.collector)
             for m in trace.completed]
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 import os
 import subprocess
@@ -425,6 +426,54 @@ def test_trace_run_dumps_messages(tmp_path):
         parts = (float(r["wait_travel"]) + float(r["wait_service"])
                  + spec.reception_time)
         assert total == pytest.approx(parts, abs=1e-7)
+
+
+PINNED_SCENARIOS = {
+    "case2": """
+scenario.area = 60
+scenario.speed = 10
+scenario.reception_time = 2
+scenario.snr_db = 17
+sweep.loads = 0.5
+policy.kinds = grid_partitioning
+run.messages = 2000
+run.seeds = 1
+""",
+    "fleet": """
+scenario.area = 500
+scenario.speed = 1
+scenario.reception_time = 2
+scenario.snr_db = 20
+scenario.collectors = 4
+sweep.loads = 0.5
+policy.kinds = multi_partitioning
+run.messages = 2000
+run.seeds = 1
+""",
+}
+
+# sha256 of the written tables. A change that is meant to alter the simulated
+# stream or the table format updates these and says why in CHANGES.md; any
+# other change must leave them alone.
+PINNED_SHA256 = {
+    ("case2", "run"):
+        "e7872fc1a1c4e11ed33ed724f6ea02c105dcd2b59a9beb241890d54aff2a153c",
+    ("case2", "trace"):
+        "f21c8197b66daa54300f23fc24d87e3f01976e4bbd7c3c0bfa51413797f131af",
+    ("fleet", "run"):
+        "c0326b243421e82d67c8da2469b652929bc4126be8b9e4193bfdd9cc1ac0a864",
+    ("fleet", "trace"):
+        "cf9e4a7a39abbd87a48a37eb1b3a66fcc2a782b549e7475d8744902440e7de43",
+}
+
+
+@pytest.mark.parametrize("scenario,verb", sorted(PINNED_SHA256))
+def test_output_bytes_are_pinned(tmp_path, scenario, verb):
+    spec = build_spec(parse_config_text(PINNED_SCENARIOS[scenario]))
+    write = run_experiment if verb == "run" else trace_run
+    out = write(spec, tmp_path)
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == PINNED_SHA256[scenario, verb]
 
 
 def test_dump_messages_rerun_is_byte_identical(tmp_path):

@@ -31,12 +31,12 @@ def test_distance_euclidean():
     assert distance(Point(-1, -1), Point(-1, -1)) == 0.0
 
 
-def test_uniform_point_bounds_and_origin():
+def test_uniform_point_bounds():
     rng = np.random.default_rng(7)
     for _ in range(200):
-        p = uniform_point(rng, 3.0, Point(10.0, 20.0))
-        assert 10.0 <= p.x <= 13.0
-        assert 20.0 <= p.y <= 23.0
+        p = uniform_point(rng, 3.0)
+        assert 0.0 <= p.x <= 3.0
+        assert 0.0 <= p.y <= 3.0
 
 
 def test_uniform_point_deterministic():

@@ -12,7 +12,7 @@ from collectsim.engine import (WAIT, EventTrace, Receive, Simulation,
                                StopRule, TravelTo, Wait, generate_arrivals,
                                run)
 from collectsim.policies import PolicyKind, make_policy
-from collectsim.stats import occupancy_steps
+from collectsim.stats import occupancy_steps, wait_split
 
 from matrixlib import (case2_config, reception_queue_config,
                        wide_region_config)
@@ -174,13 +174,14 @@ def test_delay_decomposition_is_exact():
     trace = run(cfg, _grid_policy(cfg), StopRule(max_messages=4000))
     assert len(trace.completed) == 4000
     s = cfg.reception_time
+    travel, service, _ = wait_split(trace)
     for m in trace.completed:
         assert m.departure_time is not None
         total = m.departure_time - m.arrival_time
-        assert total == pytest.approx(m.wait_travel + m.wait_service + s,
+        assert total == pytest.approx(travel[m.id] + service[m.id] + s,
                                       abs=1e-9)
-        assert m.wait_travel >= -1e-9
-        assert m.wait_service >= -1e-9
+        assert travel[m.id] >= -1e-9
+        assert service[m.id] >= -1e-9
         assert m.reception_start == pytest.approx(m.departure_time - s,
                                                   abs=1e-9)
 
@@ -189,7 +190,7 @@ def test_receiving_time_equals_completed_service():
     cfg = reception_queue_config(0.5, seed=5)
     trace = run(cfg, _grid_policy(cfg), StopRule(max_messages=1000))
     # single collector stopped exactly at its 1000th completion
-    assert trace.receiving_time == pytest.approx(
+    assert wait_split(trace)[2] == pytest.approx(
         1000 * cfg.reception_time, rel=1e-12)
     assert trace.end_time == trace.completed[-1].departure_time
 
@@ -219,8 +220,9 @@ def test_pure_queue_regime_has_zero_travel_wait():
     cfg = reception_queue_config(0.8, seed=2)
     trace = run(cfg, _grid_policy(cfg), StopRule(max_messages=3000))
     assert trace.total_travel_distance == 0.0
+    travel = wait_split(trace)[0]
     for m in trace.completed:
-        assert abs(m.wait_travel) <= 1e-9
+        assert abs(travel[m.id]) <= 1e-9
 
 
 @pytest.mark.parametrize("load", [0.3, 0.8, 0.95])
@@ -396,7 +398,7 @@ def test_wait_action_singleton():
 def test_measured_load_tracks_offered_load():
     cfg = reception_queue_config(0.5, seed=9)
     trace = run(cfg, _grid_policy(cfg), StopRule(max_messages=20_000))
-    measured = trace.receiving_time / (cfg.collectors * trace.end_time)
+    measured = wait_split(trace)[2] / (cfg.collectors * trace.end_time)
     assert measured == pytest.approx(0.5, rel=0.05)
 
 
@@ -406,7 +408,8 @@ def test_infinite_speed_travel_is_instant():
     trace = run(cfg, _fcfs(cfg), StopRule(max_messages=2000))
     assert len(trace.completed) == 2000
     # travel takes zero time, so every wait is pure queueing
+    travel = wait_split(trace)[0]
     for m in trace.completed:
-        assert abs(m.wait_travel) <= 1e-9
+        assert abs(travel[m.id]) <= 1e-9
     # distance is still accumulated even though it costs no time
     assert trace.total_travel_distance > 0.0

@@ -14,6 +14,7 @@ from collectsim.engine import (WAIT, Receive, Simulation, StopRule, TravelTo,
 from collectsim.policies import (Fcfs, FcfsReturn, GridPartitioning,
                                  MultiPartitioning, PolicyKind, TspnCyclic,
                                  make_policy)
+from collectsim.stats import wait_split
 
 from matrixlib import (case2_config, fleet_config, reception_queue_config,
                        wide_region_config)
@@ -90,9 +91,10 @@ def test_fcfs_isolated_message_delay():
     expected = (d - R_WIDE) / cfg.speed + cfg.reception_time
     assert msg.departure_time - msg.arrival_time == pytest.approx(
         expected, rel=1e-12)
-    assert msg.wait_travel == pytest.approx((d - R_WIDE) / cfg.speed,
-                                            rel=1e-12)
-    assert msg.wait_service == pytest.approx(0.0, abs=1e-12)
+    travel, service, _ = wait_split(trace)
+    assert travel[msg.id] == pytest.approx((d - R_WIDE) / cfg.speed,
+                                           rel=1e-12)
+    assert service[msg.id] == pytest.approx(0.0, abs=1e-12)
 
 
 class _LoggingFcfsReturn(FcfsReturn):
@@ -235,7 +237,7 @@ def test_grid_sweep_keeps_cycling_while_idle():
     first = sim.messages[0].arrival_time
     # from the first dispatch onward the collector never stands still: all
     # time after the first arrival is spent traveling or receiving
-    busy = trace.total_travel_distance / cfg.speed + trace.receiving_time
+    busy = trace.total_travel_distance / cfg.speed + wait_split(trace)[2]
     idle_before = first
     slack = pol.grid.cell_side / cfg.speed + cfg.reception_time
     assert busy >= (400.0 - idle_before) - slack
@@ -254,8 +256,9 @@ def test_grid_sweep_parks_at_infinite_speed_when_empty():
                 StopRule(max_messages=500))
     # terminates (the zero-time hop guard) and still serves everything
     assert len(trace.completed) == 500
+    travel = wait_split(trace)[0]
     for m in trace.completed:
-        assert abs(m.wait_travel) <= 1e-9
+        assert abs(travel[m.id]) <= 1e-9
 
 
 def test_grid_sweep_is_busy_from_first_arrival_to_horizon():
@@ -264,7 +267,7 @@ def test_grid_sweep_is_busy_from_first_arrival_to_horizon():
     sim = Simulation(cfg, make_policy("grid_partitioning", cfg),
                      StopRule(horizon=400.0))
     trace = sim.run()
-    busy = trace.total_travel_distance / cfg.speed + trace.receiving_time
+    busy = trace.total_travel_distance / cfg.speed + wait_split(trace)[2]
     assert busy == pytest.approx(400.0 - sim.messages[0].arrival_time,
                                  abs=1e-9)
 

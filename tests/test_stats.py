@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from collectsim.engine import EventTrace, StopRule, run
 from collectsim.policies import make_policy
 from collectsim.stats import (MIN_KEPT_MESSAGES, ScalingFit, SimResult,
                               TraceStats, detect_divergence, occupancy_steps,
-                              pool_stats, scaling_fit, trace_stats)
+                              pool_stats, scaling_fit, trace_stats,
+                              wait_split)
 
 from matrixlib import (case1_config, case2_config, fleet_config,
                        reception_queue_config, wide_region_config)
@@ -31,18 +33,16 @@ def _synthetic_trace(messages, end_time, diverged=False, completed=None):
     cfg = reception_queue_config(0.5, seed=0)
     return EventTrace(config=cfg, messages=messages, completed=completed,
                       total_travel_distance=0.0, end_time=end_time,
-                      receiving_time=len(completed) * 1.0,
                       diverged=diverged, divergence_threshold=500.0)
 
 
 def _message(i, arrival, departure, service=1.0):
-    """Message ``i``; a finished one waited only for other receptions."""
+    """Message ``i``; a finished one was received by collector 0."""
     if departure is None:
         return Message(id=i, arrival_time=arrival, location=Point(1.0, 1.0))
     return Message(id=i, arrival_time=arrival, location=Point(1.0, 1.0),
                    reception_start=departure - service,
-                   departure_time=departure, wait_travel=0.0,
-                   wait_service=departure - arrival - service)
+                   departure_time=departure, collector=0)
 
 
 def _constant_delay_messages(n, delay, gap=1.0, service=1.0):
@@ -189,6 +189,75 @@ def test_occupancy_puts_a_departure_before_a_simultaneous_arrival():
     expected = [(0.0, 1), (5.0, 0), (5.0, 1), (6.0, 2), (7.0, 1)]
     assert _replay_occupancy(messages) == expected
     assert _rebuilt_occupancy(messages) == expected
+
+
+# -- wait split ------------------------------------------------------------------------
+
+
+def _oracle_split(trace):
+    """Brute force, per message in Python floats: the service wait is the
+    overlap of each other reception by the same collector with [arrival,
+    reception start], the travel wait the rest of that interval; the
+    receiving total adds every reception's span up to the end time."""
+    spans = {}  # collector -> [(message id, start, end)]
+    for m in trace.messages:
+        if m.reception_start is not None:
+            end = (trace.end_time if m.departure_time is None
+                   else m.departure_time)
+            spans.setdefault(m.collector, []).append(
+                (m.id, m.reception_start, end))
+    split = {}
+    for m in trace.messages:
+        if m.reception_start is None:
+            continue
+        service = sum(max(0.0, min(end, m.reception_start)
+                          - max(start, m.arrival_time))
+                      for i, start, end in spans[m.collector] if i != m.id)
+        split[m.id] = (m.reception_start - m.arrival_time - service, service)
+    total = sum(end - start for runs in spans.values()
+                for _, start, end in runs)
+    return split, total
+
+
+def _split_cases():
+    fleet9 = fleet_config(0.7, seed=6, collectors=9)
+    done = StopRule(max_messages=800)
+    return {
+        "grid": (case2_config(0.8, seed=1), "grid_partitioning", done),
+        "fcfs": (case2_config(0.7, seed=2), "fcfs", done),
+        "tspn_cyclic": (case2_config(0.8, seed=3), "tspn_cyclic", done),
+        "fleet4": (fleet_config(0.7, seed=4), "multi_partitioning", done),
+        "fleet9": (fleet9, "multi_partitioning", done),
+        "fleet4_inf_speed": (replace(fleet_config(0.5, seed=5),
+                                     speed=math.inf),
+                             "multi_partitioning", done),
+        "fleet9_inf_speed": (replace(fleet9, speed=math.inf),
+                             "multi_partitioning", done),
+        "horizon": (case2_config(0.7, seed=7), "fcfs",
+                    StopRule(horizon=900.0)),
+        "divergence": (case2_config(0.95, seed=8), "grid_partitioning",
+                       StopRule(max_messages=5000, divergence_threshold=20)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_split_cases()))
+def test_wait_split_matches_brute_force_overlaps(case):
+    cfg, kind, stop = _split_cases()[case]
+    trace = run(cfg, make_policy(kind, cfg), stop)
+    if case == "horizon":
+        assert trace.end_time == 900.0
+    if case == "divergence":
+        assert trace.diverged
+    travel, service, total = wait_split(trace)
+    split, expected_total = _oracle_split(trace)
+    assert len(split) >= 300
+    for m in trace.messages:
+        if m.id in split:
+            assert travel[m.id] == pytest.approx(split[m.id][0], abs=1e-9)
+            assert service[m.id] == pytest.approx(split[m.id][1], abs=1e-9)
+        else:
+            assert math.isnan(travel[m.id]) and math.isnan(service[m.id])
+    assert total == pytest.approx(expected_total, abs=1e-9)
 
 
 # -- per-trace summaries ---------------------------------------------------------------
