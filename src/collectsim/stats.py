@@ -9,12 +9,13 @@ parallel workers only need to ship the compact per-trace summary.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .engine import EventTrace
 
@@ -122,11 +123,35 @@ def _occupancy_slice_means(occ: np.ndarray, t0: float, t1: float,
 # divergence verdict
 
 
+@functools.cache
+def _t975(df: int) -> float:
+    """0.975 quantile of Student's t, integer df >= 1: Newton in x = t/sqrt(df)
+    from the normal quantile on the exact CDF, a finite series in 1/(1 + x^2)
+    (Abramowitz & Stegun 26.7.3-26.7.4), concave, so the iterates rise."""
+    if df <= 2:  # tan(pi (p - 1/2)) and (2p - 1) / sqrt(2p (1 - p))
+        return (math.tan(0.475 * math.pi) if df == 1
+                else 0.95 / math.sqrt(2 * 0.975 * 0.025))
+    odd, x = df % 2, NormalDist().inv_cdf(0.975) / math.sqrt(df)
+    k = np.arange(df // 2)
+    coefs = np.cumprod(np.r_[1.0, (2 * k[1:] - 1 + odd) / (2 * k[1:] + odd)])
+    log_norm = (math.lgamma((df + 1) / 2) - math.lgamma(df / 2)
+                - 0.5 * math.log(math.pi))
+    for _ in range(20):
+        log_c = -math.log1p(x * x)  # c**k from a rounded c is k ulps off
+        series = float(coefs @ np.exp(k * log_c))
+        inside = (2 / math.pi * (math.atan(x) + x * math.exp(log_c) * series)
+                  if odd else x * math.exp(log_c / 2) * series)
+        step = (inside - 0.95) / 2 / math.exp(log_norm + (df + 1) / 2 * log_c)
+        x -= step
+        if abs(step) <= 1e-15 * x:
+            break
+    return x * math.sqrt(df)
+
+
 def _mean_ci(values: np.ndarray) -> tuple[float, float]:
     """Sample mean and its 95% Student-t half-width (at least two values)."""
-    tq = stdtrit(len(values) - 1, 0.975)
-    return (float(values.mean()),
-            tq * float(values.std(ddof=1)) / math.sqrt(len(values)))
+    return (float(values.mean()), _t975(len(values) - 1)
+            * float(values.std(ddof=1)) / math.sqrt(len(values)))
 
 
 def detect_divergence(samples, threshold: float | None = None) -> str:
@@ -172,6 +197,14 @@ def _batch_means(values: np.ndarray) -> tuple[float, ...]:
     return tuple(float(chunk.mean()) for chunk in np.array_split(values, k))
 
 
+def _columns(trace: EventTrace) -> np.ndarray:
+    """Arrival, reception start, departure and receiver rows, nan if unset."""
+    return np.array([[m.arrival_time for m in trace.messages],
+                     [m.reception_start for m in trace.messages],
+                     [m.departure_time for m in trace.messages],
+                     [m.collector for m in trace.messages]], dtype=float)
+
+
 def wait_split(trace: EventTrace) -> tuple[np.ndarray, np.ndarray, float]:
     """Each message's travel and service wait (nan before its reception
     starts) and the receiving time of all collectors up to ``end_time``.
@@ -182,12 +215,11 @@ def wait_split(trace: EventTrace) -> tuple[np.ndarray, np.ndarray, float]:
     is its finished receptions added up in start order plus the elapsed part
     of a running one; a reception ending at an arrival's instant ends first.
     """
-    messages = trace.messages
-    arrivals = np.array([m.arrival_time for m in messages], dtype=float)
-    starts = np.array([m.reception_start for m in messages], dtype=float)
-    departures = np.array([m.departure_time for m in messages], dtype=float)
-    receivers = np.array([m.collector for m in messages], dtype=float)
-    service = np.full(len(messages), np.nan)
+    return _wait_split(trace, *_columns(trace))
+
+
+def _wait_split(trace: EventTrace, arrivals, starts, departures, receivers):
+    service = np.full(len(arrivals), np.nan)
     receiving = 0.0
     for c in range(trace.config.collectors):
         ids = np.flatnonzero(receivers == c)
@@ -214,9 +246,7 @@ def trace_stats(trace: EventTrace, warmup_fraction: float = 0.2) -> TraceStats:
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(f"warmup_fraction must be in [0, 1), got "
                          f"{warmup_fraction}")
-    messages = trace.messages
-    arrivals = np.array([m.arrival_time for m in messages], dtype=float)
-    departures = np.array([m.departure_time for m in messages], dtype=float)
+    arrivals, _, departures, _ = columns = _columns(trace)
     done = np.flatnonzero(~np.isnan(departures))  # unfinished: None -> nan
     # exact ties (lockstep fleet collectors) are ordered by id
     done = done[np.lexsort((done, departures[done]))]
@@ -225,13 +255,14 @@ def trace_stats(trace: EventTrace, warmup_fraction: float = 0.2) -> TraceStats:
     occ = occupancy_steps(arrivals, departures[done])
     if trace.diverged:
         verdict = "diverged"
-    else:
+    elif len(kept) >= MIN_KEPT_MESSAGES:
         verdict = detect_divergence(occ, trace.divergence_threshold)
-        if verdict != "diverged" and len(kept) < MIN_KEPT_MESSAGES:
-            verdict = "inconclusive"
+    else:  # too short for the ratio rule: only the threshold can diverge
+        verdict = ("diverged" if len(occ) and occ[:, 1].max()
+                   > trace.divergence_threshold else "inconclusive")
 
     delays = departures[kept] - arrivals[kept]
-    travel, service, receiving = wait_split(trace)
+    travel, service, receiving = _wait_split(trace, *columns)
     t0 = float(departures[done[n_warm - 1]]) if n_warm > 0 else 0.0
     t1 = max(trace.end_time, t0)
     slices = _occupancy_slice_means(occ, t0, t1, BATCHES)
@@ -256,8 +287,9 @@ def trace_stats(trace: EventTrace, warmup_fraction: float = 0.2) -> TraceStats:
     )
 
 
-def _pooled_ci(all_batches: list[float]) -> tuple[float, float]:
-    arr = np.array([b for b in all_batches if not math.isnan(b)], dtype=float)
+def _pooled_ci(batches) -> tuple[float, float]:
+    arr = np.array([b for bs in batches for b in bs if not math.isnan(b)],
+                   dtype=float)
     if len(arr) == 0:
         return math.nan, math.nan
     if len(arr) == 1:
@@ -278,17 +310,14 @@ def pool_stats(parts: list[TraceStats]) -> SimResult:
         if (p.arrival_rate, p.reception_time, p.collectors) != (
                 first.arrival_rate, first.reception_time, first.collectors):
             raise ValueError("pooled replications must share a scenario")
-    mean_delay, delay_ci = _pooled_ci(
-        [b for p in parts for b in p.delay_batches])
-    mean_travel, travel_ci = _pooled_ci(
-        [b for p in parts for b in p.travel_batches])
-    mean_service, service_ci = _pooled_ci(
-        [b for p in parts for b in p.service_batches])
+    mean_delay, delay_ci = _pooled_ci(p.delay_batches for p in parts)
+    mean_travel, travel_ci = _pooled_ci(p.travel_batches for p in parts)
+    mean_service, service_ci = _pooled_ci(p.service_batches for p in parts)
     total_window = sum(p.window for p in parts)
     if total_window > 0:
         mean_occ = sum(p.mean_occupancy * p.window
                        for p in parts) / total_window
-        _, occ_ci = _pooled_ci([b for p in parts for b in p.occupancy_slices])
+        _, occ_ci = _pooled_ci(p.occupancy_slices for p in parts)
     else:
         mean_occ, occ_ci = 0.0, math.nan
     total_time = sum(p.end_time for p in parts)
@@ -296,12 +325,8 @@ def pool_stats(parts: list[TraceStats]) -> SimResult:
                     / (first.collectors * total_time) if total_time > 0
                     else 0.0)
     verdicts = {p.verdict for p in parts}
-    if "diverged" in verdicts:
-        stability = "diverged"
-    elif "inconclusive" in verdicts:
-        stability = "inconclusive"
-    else:
-        stability = "stable"
+    stability = next((v for v in ("diverged", "inconclusive")
+                      if v in verdicts), "stable")
     return SimResult(
         mean_delay=mean_delay,
         delay_ci=delay_ci,
@@ -360,7 +385,7 @@ def scaling_fit(points, reception_time: float) -> ScalingFit:
     stderr = math.sqrt((1.0 - r * r) * syy / sxx / (len(usable) - 2))
     return ScalingFit(
         slope=slope,
-        slope_ci=float(stdtrit(len(usable) - 2, 0.975)) * stderr,
+        slope_ci=_t975(len(usable) - 2) * stderr,
         intercept=float(y.mean()) - slope * float(x.mean()),
         points_used=len(usable),
         points_excluded=excluded,

@@ -611,13 +611,19 @@ def test_keys_table_is_documented():
     assert sorted(targets) == sorted(f.name for f in fields(ExperimentSpec))
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats alone used to take most of the command's start-up time
+def test_cli_bounds_call_leaves_out_scipy(tmp_path):
+    # importing scipy used to take over half of the command's start-up time
+    cfg = _write_config(tmp_path, loads="0.5", policies="fcfs",
+                        messages=400, seeds="1")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    argv = ["bounds", "--config", str(cfg), "--out", str(tmp_path)]
     done = subprocess.run(
         [sys.executable, "-c",
-         "import collectsim.cli, sys; sys.exit('scipy.stats' in sys.modules)"],
+         f"import collectsim.cli, sys; code = collectsim.cli.main({argv!r}); "
+         "sys.exit(code or any(m.split('.')[0] == 'scipy' "
+         "for m in sys.modules))"],
         env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+    assert (tmp_path / "bounds.csv").exists()

@@ -7,13 +7,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import stdtr, stdtrit
 from scipy.stats import linregress
 
 from collectsim.bounds import partitioning_delay, pk_mg1_wait
 from collectsim.core import Message, Point
 from collectsim.engine import EventTrace, StopRule, run
 from collectsim.policies import make_policy
-from collectsim.stats import (MIN_KEPT_MESSAGES, ScalingFit, SimResult,
+from collectsim.stats import (MIN_KEPT_MESSAGES, _t975, ScalingFit, SimResult,
                               TraceStats, detect_divergence, occupancy_steps,
                               pool_stats, scaling_fit, trace_stats,
                               wait_split)
@@ -117,6 +118,32 @@ def test_detector_takes_pairs_or_an_array():
         verdict = detect_divergence(samples, threshold)
         assert detect_divergence(np.array(samples, dtype=float).reshape(-1, 2),
                                  threshold) == verdict
+
+
+# -- Student-t quantile -------------------------------------------------------------
+
+T975_DFS = range(1, 2001)
+
+
+def test_t975_matches_scipy_stdtrit():
+    worst = max(abs(_t975(df) / stdtrit(df, 0.975) - 1.0) for df in T975_DFS)
+    assert worst <= 1e-12
+
+
+def test_t975_exact_at_one_and_two_degrees():
+    # cot(pi / 40) and 0.95 / sqrt(0.04875), to 18 digits
+    assert _t975(1) == pytest.approx(12.7062047361747046, rel=1e-15)
+    assert _t975(2) == pytest.approx(4.30265272974946385, rel=1e-15)
+
+
+def test_t975_strictly_decreasing_in_df():
+    values = [_t975(df) for df in T975_DFS]
+    assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def test_t975_cdf_hits_the_level():
+    worst = max(abs(stdtr(df, _t975(df)) - 0.975) for df in T975_DFS)
+    assert worst <= 1e-14
 
 
 # -- occupancy from the message records ------------------------------------------------
@@ -308,6 +335,25 @@ def test_trace_stats_short_run_is_inconclusive():
     ts = trace_stats(trace, warmup_fraction=0.0)
     assert ts.kept == MIN_KEPT_MESSAGES - 1
     assert ts.verdict == "inconclusive"
+
+
+def test_short_run_ratio_rule_reads_inconclusive():
+    # one message in system for the last third and none for the middle
+    # third trips the ratio rule, which a run this short cannot support
+    cfg = case2_config(0.5, seed=1)
+    trace = run(cfg, make_policy("fcfs", cfg), StopRule(max_messages=1))
+    assert detect_divergence(_rebuilt_occupancy(trace.messages)) == "diverged"
+    assert not trace.diverged
+    assert trace_stats(trace).verdict == "inconclusive"
+
+
+def test_short_run_over_the_threshold_reads_diverged():
+    msgs = [_message(i, 0.01 * i, 1000.0 + i) for i in range(600)]
+    trace = _synthetic_trace(msgs, end_time=1600.0)
+    assert trace.divergence_threshold == 500.0 and not trace.diverged
+    ts = trace_stats(trace, warmup_fraction=0.0)
+    assert ts.kept < MIN_KEPT_MESSAGES
+    assert ts.verdict == "diverged"
 
 
 def test_trace_stats_diverged_flag_wins():
