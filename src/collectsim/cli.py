@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -319,6 +318,8 @@ def _run_cell(job) -> TraceStats:
 def run_cells(jobs, parallel: int = 1) -> list[TraceStats]:
     """Summarise each ``(config, kind, stop, warmup)`` job, in order."""
     if parallel > 1 and len(jobs) > 1:
+        # imported here: it loads multiprocessing, which serial calls skip
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             return list(pool.map(_run_cell, jobs, chunksize=1))
     return [_run_cell(job) for job in jobs]

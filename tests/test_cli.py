@@ -612,7 +612,8 @@ def test_keys_table_is_documented():
 
 
 def test_cli_bounds_call_leaves_out_scipy(tmp_path):
-    # importing scipy used to take over half of the command's start-up time
+    # importing scipy used to take over half of the command's start-up time,
+    # and a serial call has no use for the process pool's multiprocessing
     cfg = _write_config(tmp_path, loads="0.5", policies="fcfs",
                         messages=400, seeds="1")
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -623,7 +624,8 @@ def test_cli_bounds_call_leaves_out_scipy(tmp_path):
         [sys.executable, "-c",
          f"import collectsim.cli, sys; code = collectsim.cli.main({argv!r}); "
          "sys.exit(code or any(m.split('.')[0] == 'scipy' "
-         "for m in sys.modules))"],
+         "for m in sys.modules) or 'concurrent.futures.process' in "
+         "sys.modules)"],
         env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "bounds.csv").exists()

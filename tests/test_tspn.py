@@ -254,9 +254,9 @@ def test_plan_tour_length_capped_even_for_huge_batches():
 
 
 def _row_loop_two_opt_pass(points: list[Point],
-                           start: Point) -> list[int] | None:
-    """The 2-opt pass as a loop over rows i with one numpy sweep over j each:
-    the reference the blocked pass must agree with."""
+                           start: Point) -> tuple[int, int] | None:
+    """The 2-opt move (i, j) as a loop over rows i with one numpy sweep over
+    j each: the reference the float and blocked passes must agree with."""
     n = len(points)
     if n < 3:
         return None
@@ -277,12 +277,7 @@ def _row_loop_two_opt_pass(points: list[Point],
         k = int(np.argmax(gains))
         if gains[k] > best_gain:
             best_gain, best_move = gains[k], (i, int(js[k]))
-    if best_move is None:
-        return None
-    i, j = best_move
-    order = list(range(n))
-    order[i - 1:j] = reversed(order[i - 1:j])
-    return order
+    return best_move
 
 
 def test_float_distance_is_numpys_hypot():
@@ -347,8 +342,42 @@ def test_blocked_two_opt_matches_the_row_loop(monkeypatch, block):
     for n in range(3, 90, 2):
         for lattice in (False, True):
             points = _stop_points(rng, n, lattice)
-            assert (tspn._two_opt_pass(points, start)
-                    == _row_loop_two_opt_pass(points, start)), (n, lattice)
+            move = _row_loop_two_opt_pass(points, start)
+            assert tspn._two_opt_move_array(points, start) == move, n
+            # the float pass too, past the sizes it serves
+            assert tspn._two_opt_move_float(points, start) == move, n
+
+
+def test_float_two_opt_rounds_as_numpy_does():
+    # on a lattice of spacing 0.3 equal gains differ only by rounding, so a
+    # different distance (math.hypot) or summation order picks another move
+    rng = np.random.default_rng(5)
+    start = Point(0.1, 0.2)
+    for n in range(3, tspn._FLOAT_TWO_OPT_MAX + 1):
+        k = math.isqrt(n) + 1
+        for _ in range(40):
+            points = [Point(0.3 * (i % k) + 0.1, 0.3 * (i // k) + 0.2)
+                      for i in rng.permutation(n).tolist()]
+            assert (tspn._two_opt_move_float(points, start)
+                    == _row_loop_two_opt_pass(points, start)), n
+
+
+@pytest.mark.parametrize("n, unused", [(tspn._FLOAT_TWO_OPT_MAX, "array"),
+                                       (tspn._FLOAT_TWO_OPT_MAX + 1, "float")])
+def test_two_opt_pass_switches_path_past_the_float_max(monkeypatch, n,
+                                                       unused):
+    def fail(*args):
+        raise AssertionError(f"{unused} pass called at {n} stops")
+
+    monkeypatch.setattr(tspn, f"_two_opt_move_{unused}", fail)
+    rng = np.random.default_rng(n)
+    start = Point(3.0, 4.0)
+    for lattice in (False, True):
+        points = _stop_points(rng, n, lattice)
+        i, j = _row_loop_two_opt_pass(points, start)
+        order = list(range(n))
+        order[i - 1:j] = reversed(order[i - 1:j])
+        assert tspn._two_opt_pass(points, start) == order, lattice
 
 
 def test_default_blocks_match_the_row_loop():
@@ -357,5 +386,5 @@ def test_default_blocks_match_the_row_loop():
     rng = np.random.default_rng(3)
     points = [uniform_point(rng, 20.0) for _ in range(n)]
     start = Point(10.0, 10.0)
-    assert (tspn._two_opt_pass(points, start)
+    assert (tspn._two_opt_move_array(points, start)
             == _row_loop_two_opt_pass(points, start))
