@@ -121,7 +121,8 @@ class EventTrace:
     ``messages`` keeps every generated message in id order (departure_time
     None: unfinished at ``end_time``); the number in system, the wait split
     and the receiving time are derived from them. ``completed`` lists the
-    finished ones in completion order.
+    finished ones in completion order. ``diverged``: the run stopped at an
+    arrival that put more than ``Simulation.divergence_threshold`` in system.
     """
 
     config: ScenarioConfig
@@ -130,33 +131,6 @@ class EventTrace:
     total_travel_distance: float
     end_time: float
     diverged: bool
-    divergence_threshold: float
-
-
-# --------------------------------------------------------------------------
-# arrivals
-
-
-def generate_arrivals(arrival_rate: float, horizon: float, rng,
-                      side: float) -> list[tuple[float, Point]]:
-    """Poisson arrival times up to the horizon with uniform locations on a
-    square of the given side, sorted by time.
-
-    Uses the same per-arrival draw order as the simulator (gap, x, y), so a
-    generator seeded identically reproduces a run's arrival stream.
-    """
-    if not arrival_rate > 0:
-        raise ConfigurationError("arrival_rate must be positive")
-    if not horizon > 0:
-        raise ConfigurationError("horizon must be positive")
-    out: list[tuple[float, Point]] = []
-    t = 0.0
-    while True:
-        t += rng.exponential(1.0 / arrival_rate)
-        loc = uniform_point(rng, side)
-        if t > horizon:
-            return out
-        out.append((t, loc))
 
 
 # --------------------------------------------------------------------------
@@ -310,7 +284,6 @@ class Simulation:
             total_travel_distance=self.total_travel_distance,
             end_time=end_time,
             diverged=self.diverged,
-            divergence_threshold=self.divergence_threshold,
         )
 
 

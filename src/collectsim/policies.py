@@ -36,7 +36,6 @@ class Fcfs:
     def attach(self, sim: Simulation) -> None:
         self.queue: deque[int] = deque()
         self.center = sim.config.center
-        sim.collectors[0].position = self.center
 
     def on_arrival(self, sim: Simulation, msg: Message) -> None:
         self.queue.append(msg.id)
@@ -84,7 +83,6 @@ class TspnCyclic:
         self.pending: list[int] = []
         self.script: deque[Action] = deque()
         self.epochs: list[tuple[float, tuple[int, ...], str, float]] = []
-        sim.collectors[0].position = self.center
 
     def on_arrival(self, sim: Simulation, msg: Message) -> None:
         self.pending.append(msg.id)

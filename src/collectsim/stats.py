@@ -56,7 +56,6 @@ class TraceStats:
     travel_batches: tuple[float, ...]
     service_batches: tuple[float, ...]
     occupancy_slices: tuple[float, ...]
-    mean_occupancy: float
     window: float
     receiving_time: float
     end_time: float
@@ -154,21 +153,20 @@ def _mean_ci(values: np.ndarray) -> tuple[float, float]:
             * float(values.std(ddof=1)) / math.sqrt(len(values)))
 
 
-def detect_divergence(samples, threshold: float | None = None) -> str:
+def detect_divergence(samples) -> str:
     """Classify an occupancy trajectory, any sequence of (time, count)
     samples, as stable, diverged or inconclusive.
 
-    Diverged: any sample beyond the threshold, or the last third's
-    time-weighted mean exceeding twice the middle third's with disjoint
-    confidence intervals. Stable: both windows' intervals are tight (half
-    width at most half the mean) and the last third has not grown past 1.5x
-    the middle third. Anything else is inconclusive.
+    Diverged: the last third's time-weighted mean exceeds twice the middle
+    third's with disjoint confidence intervals. Stable: both windows'
+    intervals are tight (half width at most half the mean) and the last
+    third has not grown past 1.5x the middle third. Anything else is
+    inconclusive. The occupancy cutoff is the engine's: a run it stopped
+    carries ``EventTrace.diverged``.
     """
     occ = np.asarray(samples, dtype=float).reshape(-1, 2)
     if not len(occ):
         return "stable"
-    if threshold is not None and occ[:, 1].max() > threshold:
-        return "diverged"
     span = occ[-1, 0]
     if span <= 0:
         return "inconclusive"
@@ -253,21 +251,20 @@ def trace_stats(trace: EventTrace, warmup_fraction: float = 0.2) -> TraceStats:
     n_warm = int(len(done) * warmup_fraction)
     kept = done[n_warm:]
     occ = occupancy_steps(arrivals, departures[done])
+    # the engine stopped a run over its occupancy cutoff; a run too short
+    # for the trend rule settles nothing
     if trace.diverged:
         verdict = "diverged"
     elif len(kept) >= MIN_KEPT_MESSAGES:
-        verdict = detect_divergence(occ, trace.divergence_threshold)
-    else:  # too short for the ratio rule: only the threshold can diverge
-        verdict = ("diverged" if len(occ) and occ[:, 1].max()
-                   > trace.divergence_threshold else "inconclusive")
+        verdict = detect_divergence(occ)
+    else:
+        verdict = "inconclusive"
 
     delays = departures[kept] - arrivals[kept]
     travel, service, receiving = _wait_split(trace, *columns)
     t0 = float(departures[done[n_warm - 1]]) if n_warm > 0 else 0.0
     t1 = max(trace.end_time, t0)
     slices = _occupancy_slice_means(occ, t0, t1, BATCHES)
-    window = t1 - t0
-    mean_occ = float(slices.mean()) if window > 0 else 0.0
     cfg = trace.config
     return TraceStats(
         seed=cfg.seed,
@@ -276,8 +273,7 @@ def trace_stats(trace: EventTrace, warmup_fraction: float = 0.2) -> TraceStats:
         travel_batches=_batch_means(travel[kept]),
         service_batches=_batch_means(service[kept]),
         occupancy_slices=tuple(float(v) for v in slices),
-        mean_occupancy=mean_occ,
-        window=window,
+        window=t1 - t0,
         receiving_time=receiving,
         end_time=trace.end_time,
         verdict=verdict,
@@ -315,7 +311,7 @@ def pool_stats(parts: list[TraceStats]) -> SimResult:
     mean_service, service_ci = _pooled_ci(p.service_batches for p in parts)
     total_window = sum(p.window for p in parts)
     if total_window > 0:
-        mean_occ = sum(p.mean_occupancy * p.window
+        mean_occ = sum(float(np.mean(p.occupancy_slices)) * p.window
                        for p in parts) / total_window
         _, occ_ci = _pooled_ci(p.occupancy_slices for p in parts)
     else:

@@ -9,12 +9,11 @@ import pytest
 from collectsim.core import (ConfigurationError, ContractViolation, Point,
                              distance)
 from collectsim.engine import (WAIT, EventTrace, Receive, Simulation,
-                               StopRule, TravelTo, Wait, generate_arrivals,
-                               run)
+                               StopRule, TravelTo, Wait, run)
 from collectsim.policies import PolicyKind, make_policy
 from collectsim.stats import occupancy_steps, wait_split
 
-from matrixlib import (case2_config, reception_queue_config,
+from matrixlib import (case2_config, fleet_config, reception_queue_config,
                        wide_region_config)
 
 
@@ -49,36 +48,20 @@ def test_stop_rule_accepts_combinations():
 # -- arrival stream ---------------------------------------------------------------
 
 
-def test_generate_arrivals_sorted_within_horizon():
-    rng = np.random.default_rng(3)
-    arr = generate_arrivals(2.0, 100.0, rng, 10.0)
-    times = [t for t, _ in arr]
-    assert times == sorted(times)
-    assert times[-1] <= 100.0
-    assert all(0.0 <= p.x <= 10.0 and 0.0 <= p.y <= 10.0 for _, p in arr)
-    # about rate * horizon arrivals
-    assert 140 <= len(arr) <= 260
-
-
-def test_generate_arrivals_validates():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ConfigurationError):
-        generate_arrivals(0.0, 10.0, rng, 1.0)
-    with pytest.raises(ConfigurationError):
-        generate_arrivals(1.0, 0.0, rng, 1.0)
-
-
 def test_simulation_arrivals_match_generator():
+    # the engine's stream, message by message: per arrival one exponential
+    # gap of mean 1/lambda, then x, then y, uniform on the square
     cfg = reception_queue_config(0.5, seed=42)
     sim = Simulation(cfg, _grid_policy(cfg), StopRule(max_messages=300))
     trace = sim.run()
-    rng = np.random.default_rng(cfg.seed)
-    arr = generate_arrivals(cfg.arrival_rate, trace.end_time, rng, cfg.side)
-    assert abs(len(arr) - len(trace.messages)) <= 1
     assert len(trace.messages) >= 300
-    for (t, loc), msg in zip(arr, sim.messages):
+    rng = np.random.default_rng(cfg.seed)
+    t = 0.0
+    for msg in trace.messages:
+        t += rng.exponential(1.0 / cfg.arrival_rate)
+        x, y = cfg.side * rng.random(), cfg.side * rng.random()
         assert msg.arrival_time == t
-        assert msg.location == loc
+        assert msg.location == Point(x, y)
 
 
 # -- same-instant event order ------------------------------------------------------
@@ -274,33 +257,69 @@ def test_earlier_of_target_and_horizon_wins():
 
 def test_default_divergence_threshold_scales_with_load():
     cfg = case2_config(0.95, seed=1)
-    trace = run(cfg, _grid_policy(cfg), StopRule(max_messages=10))
-    assert trace.divergence_threshold == pytest.approx(950.0)
+    sim = Simulation(cfg, _grid_policy(cfg), StopRule(max_messages=10))
+    assert sim.divergence_threshold == pytest.approx(950.0)
     light = reception_queue_config(0.5, seed=1)
-    t2 = run(light, _grid_policy(light), StopRule(max_messages=10))
-    assert t2.divergence_threshold == pytest.approx(500.0)
+    sim = Simulation(light, _grid_policy(light), StopRule(max_messages=10))
+    assert sim.divergence_threshold == pytest.approx(500.0)
 
 
 def test_divergence_threshold_override():
     cfg = case2_config(0.5, seed=1)
-    trace = run(cfg, _grid_policy(cfg),
-                StopRule(max_messages=10, divergence_threshold=123.0))
-    assert trace.divergence_threshold == 123.0
-    assert not trace.diverged
+    sim = Simulation(cfg, _grid_policy(cfg),
+                     StopRule(max_messages=10, divergence_threshold=123.0))
+    assert sim.divergence_threshold == 123.0
+    assert not sim.run().diverged
 
 
 def test_unstable_fcfs_run_flags_divergence():
     cfg = wide_region_config(0.95, seed=6, reception_time=1.0, speed=2.0)
-    trace = run(cfg, _fcfs(cfg), StopRule(max_messages=100_000))
+    sim = Simulation(cfg, _fcfs(cfg), StopRule(max_messages=100_000))
+    trace = sim.run()
     assert trace.diverged
     assert len(trace.messages) < 100_000
     # backlog at the stop exceeds the threshold
     backlog = sum(m.departure_time is None for m in trace.messages)
-    assert backlog > trace.divergence_threshold
+    assert backlog > sim.divergence_threshold
     # the same scenario under the cell sweep is comfortably stable
     sweep = run(cfg, _grid_policy(cfg), StopRule(max_messages=5_000))
     assert not sweep.diverged
     assert len(sweep.completed) == 5_000
+
+
+def _cutoff_cases():
+    return {
+        "fcfs_wide_0.95": (wide_region_config(0.95, seed=6,
+                                              reception_time=1.0, speed=2.0),
+                           PolicyKind.FCFS, StopRule(max_messages=100_000)),
+        "grid_0.95_cutoff_20": (case2_config(0.95, seed=8),
+                                PolicyKind.GRID_PARTITIONING,
+                                StopRule(max_messages=5000,
+                                         divergence_threshold=20)),
+        "fleet_ties": (fleet_config(0.9, seed=1),
+                       PolicyKind.MULTI_PARTITIONING,
+                       StopRule(max_messages=4000)),
+        "horizon": (case2_config(0.8, seed=3), PolicyKind.GRID_PARTITIONING,
+                    StopRule(horizon=2000.0)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_cutoff_cases()))
+def test_diverged_is_exactly_occupancy_over_the_threshold(case):
+    # the verdict's cutoff has one owner: a run's rebuilt occupancy passes
+    # the simulation's threshold exactly when the engine flagged it
+    cfg, kind, stop = _cutoff_cases()[case]
+    sim = Simulation(cfg, make_policy(kind, cfg), stop)
+    trace = sim.run()
+    departures = [m.departure_time for m in trace.completed]
+    if case == "fleet_ties":
+        assert len(set(departures)) < len(departures)
+    if case == "horizon":
+        assert trace.end_time == stop.horizon
+    occ = occupancy_steps([m.arrival_time for m in trace.messages],
+                          departures)
+    assert (occ[:, 1].max() > sim.divergence_threshold) == trace.diverged
+    assert trace.diverged == case.startswith(("fcfs", "grid"))
 
 
 # -- policy contract enforcement --------------------------------------------------------
