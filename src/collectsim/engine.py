@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Protocol
 
-import numpy as np
-
 from .commmodel import in_range, reception_radius
 from .core import (ConfigurationError, ContractViolation, Message, Point,
                    ScenarioConfig, distance, uniform_point)
@@ -148,12 +146,13 @@ class Simulation:
 
     def __init__(self, config: ScenarioConfig, policy: Policy,
                  stop: StopRule | None = None) -> None:
+        from numpy.random import default_rng
         self.config = config
         self.policy = policy
         self.stop = stop if stop is not None else StopRule(max_messages=50_000)
         self.radius = reception_radius(config.snr_ref, config.snr_threshold,
                                        config.path_loss)
-        self.rng = np.random.default_rng(config.seed)
+        self.rng = default_rng(config.seed)
         self.time = 0.0
         self.messages: list[Message] = []
         self.completed: list[Message] = []

@@ -13,9 +13,6 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from statistics import NormalDist
-
-import numpy as np
 
 from .engine import EventTrace
 
@@ -85,6 +82,7 @@ class ScalingFit:
 def occupancy_steps(arrivals, departures) -> np.ndarray:
     """(time, messages in system) after each arrival and each departure, in
     event order: at equal times departures come first, as in the engine."""
+    import numpy as np
     times = np.concatenate((departures, arrivals))
     steps = np.repeat((-1.0, 1.0), (len(departures), len(arrivals)))
     order = np.lexsort((steps, times))
@@ -95,6 +93,7 @@ def _step_integral(times: np.ndarray, values: np.ndarray,
                    points: np.ndarray) -> np.ndarray:
     """Integral of the right-continuous step function (0 before the first
     sample) from time 0 to each point."""
+    import numpy as np
     if len(times) == 0:
         return np.zeros(len(points))
     cum = np.concatenate(
@@ -111,6 +110,7 @@ def _occupancy_slice_means(occ: np.ndarray, t0: float, t1: float,
                            slices: int) -> np.ndarray:
     """Time-weighted occupancy mean over each of `slices` equal sub-windows
     of [t0, t1], from an (N, 2) array of (time, count) samples."""
+    import numpy as np
     if t1 <= t0:
         return np.zeros(slices)
     edges = np.linspace(t0, t1, slices + 1)
@@ -121,16 +121,19 @@ def _occupancy_slice_means(occ: np.ndarray, t0: float, t1: float,
 # --------------------------------------------------------------------------
 # divergence verdict
 
+_Z975 = 1.9599639845400536  # the normal quantile, NormalDist().inv_cdf(0.975)
+
 
 @functools.cache
 def _t975(df: int) -> float:
     """0.975 quantile of Student's t, integer df >= 1: Newton in x = t/sqrt(df)
     from the normal quantile on the exact CDF, a finite series in 1/(1 + x^2)
     (Abramowitz & Stegun 26.7.3-26.7.4), concave, so the iterates rise."""
+    import numpy as np
     if df <= 2:  # tan(pi (p - 1/2)) and (2p - 1) / sqrt(2p (1 - p))
         return (math.tan(0.475 * math.pi) if df == 1
                 else 0.95 / math.sqrt(2 * 0.975 * 0.025))
-    odd, x = df % 2, NormalDist().inv_cdf(0.975) / math.sqrt(df)
+    odd, x = df % 2, _Z975 / math.sqrt(df)
     k = np.arange(df // 2)
     coefs = np.cumprod(np.r_[1.0, (2 * k[1:] - 1 + odd) / (2 * k[1:] + odd)])
     log_norm = (math.lgamma((df + 1) / 2) - math.lgamma(df / 2)
@@ -164,6 +167,7 @@ def detect_divergence(samples) -> str:
     inconclusive. The occupancy cutoff is the engine's: a run it stopped
     carries ``EventTrace.diverged``.
     """
+    import numpy as np
     occ = np.asarray(samples, dtype=float).reshape(-1, 2)
     if not len(occ):
         return "stable"
@@ -188,6 +192,7 @@ def detect_divergence(samples) -> str:
 
 
 def _batch_means(values: np.ndarray) -> tuple[float, ...]:
+    import numpy as np
     n = len(values)
     if n == 0:
         return (math.nan,)
@@ -197,6 +202,7 @@ def _batch_means(values: np.ndarray) -> tuple[float, ...]:
 
 def _columns(trace: EventTrace) -> np.ndarray:
     """Arrival, reception start, departure and receiver rows, nan if unset."""
+    import numpy as np
     return np.array([[m.arrival_time for m in trace.messages],
                      [m.reception_start for m in trace.messages],
                      [m.departure_time for m in trace.messages],
@@ -217,6 +223,7 @@ def wait_split(trace: EventTrace) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def _wait_split(trace: EventTrace, arrivals, starts, departures, receivers):
+    import numpy as np
     service = np.full(len(arrivals), np.nan)
     receiving = 0.0
     for c in range(trace.config.collectors):
@@ -241,6 +248,7 @@ def trace_stats(trace: EventTrace, warmup_fraction: float = 0.2) -> TraceStats:
     """Reduce one trace's finished messages, in (departure time, id) order,
     and the occupancy they imply to batch means and slice means after
     discarding its warmup fraction of finished messages."""
+    import numpy as np
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(f"warmup_fraction must be in [0, 1), got "
                          f"{warmup_fraction}")
@@ -284,6 +292,7 @@ def trace_stats(trace: EventTrace, warmup_fraction: float = 0.2) -> TraceStats:
 
 
 def _pooled_ci(batches) -> tuple[float, float]:
+    import numpy as np
     arr = np.array([b for bs in batches for b in bs if not math.isnan(b)],
                    dtype=float)
     if len(arr) == 0:
@@ -299,6 +308,7 @@ def pool_stats(parts: list[TraceStats]) -> SimResult:
     Batch means are pooled with equal weight (replications are expected to
     share a message target); occupancy is weighted by window length.
     """
+    import numpy as np
     if not parts:
         raise ValueError("nothing to pool")
     first = parts[0]
@@ -353,6 +363,7 @@ def scaling_fit(points, reception_time: float) -> ScalingFit:
     and are excluded with a warning; at least five usable points are
     required.
     """
+    import numpy as np
     usable = []
     excluded = 0
     for load, delay in points:

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .commmodel import _RANGE_SLACK, in_range, reception_point
 from .core import Point, RegionGrid, distance
 
@@ -165,6 +163,7 @@ def _greedy_stops_float(messages: Sequence, radius: float,
 
 def _greedy_stops_array(messages: Sequence, radius: float,
                         start: Point) -> list[tuple[Point, list[int]]]:
+    import numpy as np
     ids = [m.id for m in messages]
     xs = np.array([m.location.x for m in messages], dtype=float)
     ys = np.array([m.location.y for m in messages], dtype=float)
@@ -238,6 +237,7 @@ def _two_opt_move_float(points: list[Point],
 
 def _two_opt_move_array(points: list[Point],
                         start: Point) -> tuple[int, int] | None:
+    import numpy as np
     n = len(points)
     xs = np.array([start.x, *(p.x for p in points), start.x], dtype=float)
     ys = np.array([start.y, *(p.y for p in points), start.y], dtype=float)

@@ -611,21 +611,33 @@ def test_keys_table_is_documented():
     assert sorted(targets) == sorted(f.name for f in fields(ExperimentSpec))
 
 
-def test_cli_bounds_call_leaves_out_scipy(tmp_path):
-    # importing scipy used to take over half of the command's start-up time,
-    # and a serial call has no use for the process pool's multiprocessing
+# modules a fresh interpreter must not load, with their submodules, after
+# `import collectsim.cli` and after a serial bounds call
+_FRESH_BOUNDS_CALL = """
+import sys
+def loaded(*names):
+    return [n for n in names
+            if any(m == n or m.startswith(n + '.') for m in sys.modules)]
+unused = ('numpy', 'scipy', 'statistics', 'concurrent.futures.process')
+import collectsim.cli
+assert not loaded(*unused), loaded(*unused)
+code = collectsim.cli.main(sys.argv[1:])
+assert not code and not loaded(*unused), (code, loaded(*unused))
+"""
+
+
+def test_cli_bounds_call_leaves_out_numpy_and_scipy(tmp_path):
+    # the closed forms use neither numpy nor scipy, which would be most of
+    # the command's start-up time, nor statistics, which loads decimal and
+    # fractions; a serial call has no use for the process pool's
+    # multiprocessing
     cfg = _write_config(tmp_path, loads="0.5", policies="fcfs",
                         messages=400, seeds="1")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     argv = ["bounds", "--config", str(cfg), "--out", str(tmp_path)]
-    done = subprocess.run(
-        [sys.executable, "-c",
-         f"import collectsim.cli, sys; code = collectsim.cli.main({argv!r}); "
-         "sys.exit(code or any(m.split('.')[0] == 'scipy' "
-         "for m in sys.modules) or 'concurrent.futures.process' in "
-         "sys.modules)"],
-        env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", _FRESH_BOUNDS_CALL, *argv],
+                          env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "bounds.csv").exists()

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import pickle
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -14,10 +15,10 @@ from collectsim.bounds import partitioning_delay, pk_mg1_wait
 from collectsim.core import Message, Point
 from collectsim.engine import EventTrace, StopRule, run
 from collectsim.policies import make_policy
-from collectsim.stats import (MIN_KEPT_MESSAGES, _t975, ScalingFit, SimResult,
-                              TraceStats, detect_divergence, occupancy_steps,
-                              pool_stats, scaling_fit, trace_stats,
-                              wait_split)
+from collectsim.stats import (MIN_KEPT_MESSAGES, _Z975, _t975, ScalingFit,
+                              SimResult, TraceStats, detect_divergence,
+                              occupancy_steps, pool_stats, scaling_fit,
+                              trace_stats, wait_split)
 
 from matrixlib import (case1_config, case2_config, fleet_config,
                        reception_queue_config, wide_region_config)
@@ -81,7 +82,7 @@ def test_detector_alternating_queue_is_stable():
     assert detect_divergence(samples) == "stable"
 
 
-def test_detector_threshold_crossing_diverges():
+def test_detector_spike_alone_is_not_diverged():
     # a spike alone does not settle the verdict: the cutoff is the engine's
     samples = [(float(i), 3) for i in range(1, 500)]
     samples.append((500.0, 1001))
@@ -126,6 +127,10 @@ T975_DFS = range(1, 2001)
 def test_t975_matches_scipy_stdtrit():
     worst = max(abs(_t975(df) / stdtrit(df, 0.975) - 1.0) for df in T975_DFS)
     assert worst <= 1e-12
+
+
+def test_t975_newton_start_is_the_normal_quantile():
+    assert _Z975.hex() == NormalDist().inv_cdf(0.975).hex()
 
 
 def test_t975_exact_at_one_and_two_degrees():
