@@ -4,11 +4,15 @@ A collector serving a batch of messages needs a closed walk from its start
 point that enters every message's reception disk. Two planners are provided:
 a sweep over the covering grid's nonempty cells (bounded length regardless of
 batch size) and a nearest-disk greedy construction polished by 2-opt, which
-wins when messages are few or clustered.
+wins when messages are few or clustered. ``plan_tour`` plans the greedy tour
+first and skips the sweep where a bound shows it cannot win. 2-opt rounds
+after the first re-project the stops from the first reversed one on, and the
+cells' visit ranks and centers come from tables cached per grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -57,13 +61,12 @@ def tsp_upper_bound(n: int, area: float) -> float:
     return math.sqrt(2.0 * n * area) + 1.75 * math.sqrt(area)
 
 
-def _closed_length(points: Sequence[Point], start: Point) -> float:
-    total = 0.0
-    prev = start
-    for p in points:
-        total += distance(prev, p)
-        prev = p
-    return total + distance(prev, start)
+@functools.lru_cache(maxsize=8)
+def _cycle_tables(grid: RegionGrid) -> tuple[tuple, tuple]:
+    """Visit rank and center of each cell by number; 8 grids are kept."""
+    cells = range(grid.num_cells)
+    return (tuple(map(grid.visit_rank, cells)),
+            tuple(map(grid.cell_center, cells)))
 
 
 # --------------------------------------------------------------------------
@@ -85,8 +88,9 @@ def grid_cover_tour(messages: Sequence, grid: RegionGrid,
         buckets.setdefault(grid.cell_of(msg.location), []).append(msg.id)
     if not buckets:
         return Tour((), 0.0, start, "grid_cover")
-    order = sorted(buckets, key=grid.visit_rank)
-    pts = [grid.cell_center(cell) for cell in order]
+    ranks, centers = _cycle_tables(grid)
+    order = sorted(buckets, key=ranks.__getitem__)
+    pts = [centers[cell] for cell in order]
     m = len(pts)
     seg = [distance(pts[i], pts[(i + 1) % m]) for i in range(m)]
     perimeter = sum(seg)
@@ -108,14 +112,15 @@ def grid_cover_tour(messages: Sequence, grid: RegionGrid,
 # nearest-disk greedy + 2-opt planner
 
 
-# Batches up to this many messages run the greedy on Python floats, larger ones
-# on numpy arrays, whose per-call overhead only pays off on longer sweeps; it
-# is where the two paths cost the same on uniform batches (CHANGES.md). The
-# paths return identical stops: both measure with the C library's hypot, which
-# np.hypot calls and so does abs() of a complex, while math.hypot differs from
-# it in the last bit on about 0.6% of inputs, enough to flip an argmin or a
-# range test.
-_FLOAT_GREEDY_MAX = 64
+# Batches up to this many messages run the greedy on Python floats, larger
+# ones on numpy arrays, whose per-call overhead only pays off on longer
+# sweeps: on uniform batches at r = 2.24 the float path is the faster up to 96
+# messages at areas 60 and 800, the array path from 112 at area 800
+# (CHANGES.md). Both return the same stops: they measure with the C library's
+# hypot, which np.hypot calls and so does abs() of a complex, while math.hypot
+# differs from it in the last bit on about 0.6% of inputs, enough to flip an
+# argmin or a range test.
+_FLOAT_GREEDY_MAX = 96
 # Stop lists up to this many stops run the 2-opt pass as a double loop on
 # Python floats, longer ones on numpy arrays: 16 is where the two cost the
 # same per call, about 50 us on a 2-vCPU Xeon (3 against 22 us at 3 stops).
@@ -125,44 +130,42 @@ _FLOAT_TWO_OPT_MAX = 16
 # The array pass evaluates its gain matrix in row blocks of at most this many
 # entries, so memory stays bounded at any stop count.
 _TWO_OPT_BLOCK = 1 << 16
-# where the float greedy moves the messages it has served
-_FAR = complex(math.inf, 0.0)
 
 
-def _greedy_stops_float(messages: Sequence, radius: float,
-                        start: Point) -> list[tuple[Point, list[int]]]:
+def _greedy_stops_float(messages: Sequence, radius: float, start: Point
+                        ) -> tuple[list[tuple[Point, list[int]]], float]:
     slack = radius * (1.0 + _RANGE_SLACK)
     ids = [m.id for m in messages]
     zs = [complex(m.location.x, m.location.y) for m in messages]
     here = Point(float(start.x), float(start.y))
     at = complex(here.x, here.y)
     dist = [abs(z - at) for z in zs]
-    left = len(ids)
+    length = 0.0
     stops: list[tuple[Point, list[int]]] = []
-    while left:
+    while ids:
         # the first message of least excess distance max(d - radius, 0), as
         # np.argmin picks it
         cut = max(min(dist) - radius, 0.0)
         k = next(q for q, d in enumerate(dist) if d - radius <= cut)
         aim = Point(zs[k].real, zs[k].imag)
         if not in_range(here, aim, radius):
-            here = reception_point(here, aim, radius)
+            here, last = reception_point(here, aim, radius), here
+            length += distance(last, here)
             at = complex(here.x, here.y)
             dist = [abs(z - at) for z in zs]
         # the stop passes in_range for the message aimed at, even where
         # hypot rounds the other way
         dist[k] = 0.0
         served = [q for q, d in enumerate(dist) if d <= slack]
-        for q in served:
-            zs[q] = _FAR
-            dist[q] = math.inf
-        left -= len(served)
         stops.append((here, [ids[q] for q in served]))
-    return stops
+        # served messages leave the lists, the rest keep their order
+        for q in reversed(served):
+            del ids[q], zs[q], dist[q]
+    return stops, length + distance(here, start)
 
 
-def _greedy_stops_array(messages: Sequence, radius: float,
-                        start: Point) -> list[tuple[Point, list[int]]]:
+def _greedy_stops_array(messages: Sequence, radius: float, start: Point
+                        ) -> tuple[list[tuple[Point, list[int]]], float]:
     import numpy as np
     ids = [m.id for m in messages]
     xs = np.array([m.location.x for m in messages], dtype=float)
@@ -173,12 +176,14 @@ def _greedy_stops_array(messages: Sequence, radius: float,
     # reach; one sweep per stop that moves serves its hits and the next argmin
     dist = np.hypot(xs - here.x, ys - here.y)
     left = len(ids)
+    length = 0.0
     stops: list[tuple[Point, list[int]]] = []
     while left:
         j = int(np.argmin(np.maximum(dist - radius, 0.0)))
         aim = Point(float(xs[j]), float(ys[j]))
         if not in_range(here, aim, radius):
-            here = reception_point(here, aim, radius)
+            here, last = reception_point(here, aim, radius), here
+            length += distance(last, here)
             dist = np.hypot(xs - here.x, ys - here.y)
         hits = dist <= slack
         # the stop passes in_range for the message aimed at, even where
@@ -189,7 +194,7 @@ def _greedy_stops_array(messages: Sequence, radius: float,
         dist[served] = np.inf
         left -= len(served)
         stops.append((here, [ids[i] for i in served]))
-    return stops
+    return stops, length + distance(here, start)
 
 
 def _two_opt_pass(points: list[Point], start: Point) -> list[int] | None:
@@ -264,17 +269,22 @@ def _two_opt_move_array(points: list[Point],
 
 
 def _reproject(stops: list[tuple[Point, list[int]]], radius: float,
-               start: Point, locate) -> list[tuple[Point, list[int]]]:
-    # pull single-message stops toward the previous stop; batched stops keep
-    # their point so coverage of the whole batch is preserved
-    out: list[tuple[Point, list[int]]] = []
-    prev = start
-    for point, mids in stops:
+               start: Point, locate, first: int, run: list[float]
+               ) -> tuple[list[tuple[Point, list[int]]], list[float], float]:
+    """Pull single-message stops from index ``first`` on toward the previous
+    stop (batched stops keep their point, so the batch stays covered); the
+    stops before it and their running lengths ``run`` are kept. Returns the
+    stops, the running lengths and the closed length, summed left to right."""
+    out, run = stops[:first], run[:first]
+    prev, total = (out[-1][0], run[-1]) if first else (start, 0.0)
+    for point, mids in stops[first:]:
         if len(mids) == 1:
             point = reception_point(prev, locate(mids[0]), radius)
+        total += distance(prev, point)
         out.append((point, mids))
+        run.append(total)
         prev = point
-    return out
+    return out, run, total + distance(prev, start)
 
 
 def nn_tspn_tour(messages: Sequence, radius: float, start: Point) -> Tour:
@@ -288,20 +298,22 @@ def nn_tspn_tour(messages: Sequence, radius: float, start: Point) -> Tour:
         return Tour((), 0.0, start, "tspn")
     by_id = {m.id: m.location for m in messages}
     if len(messages) <= _FLOAT_GREEDY_MAX:
-        stops = _greedy_stops_float(messages, radius, start)
+        best, best_len = _greedy_stops_float(messages, radius, start)
     else:
-        stops = _greedy_stops_array(messages, radius, start)
-    best = stops
-    best_len = _closed_length([p for p, _ in stops], start)
+        best, best_len = _greedy_stops_array(messages, radius, start)
+    run: list[float] = []  # running lengths of best once re-projected
     for _ in range(8):
         order = _two_opt_pass([p for p, _ in best], start)
         if order is None:
             break
-        candidate = _reproject([best[i] for i in order], radius, start,
-                               by_id.__getitem__)
-        cand_len = _closed_length([p for p, _ in candidate], start)
+        # a re-projected tour is a fixed point before the first reversed
+        # stop; a raw greedy stop in the in_range slack band is not
+        first = next(k for k, i in enumerate(order) if k != i) if run else 0
+        candidate, cand_run, cand_len = _reproject(
+            [best[i] for i in order], radius, start, by_id.__getitem__,
+            first, run)
         if cand_len < best_len - 1e-12:
-            best, best_len = candidate, cand_len
+            best, run, best_len = candidate, cand_run, cand_len
         else:
             break
     tour_stops = tuple(TourStop(p, tuple(mids)) for p, mids in best)
@@ -310,11 +322,17 @@ def nn_tspn_tour(messages: Sequence, radius: float, start: Point) -> Tour:
 
 def plan_tour(messages: Sequence, grid: RegionGrid, radius: float,
               start: Point | None = None) -> Tour:
-    """Plan the shorter of the grid sweep and the greedy disk tour."""
+    """Plan the shorter of the grid sweep and the greedy disk tour, the sweep
+    on ties. The sweep is at least twice as long as its farthest cell center
+    is from the start, and is not planned where the greedy tour is shorter."""
     if start is None:
         start = grid.center
     if not messages:
         return Tour((), 0.0, start, "empty")
-    cover = grid_cover_tour(messages, grid, start)
     greedy = nn_tspn_tour(messages, radius, start)
+    centers = _cycle_tables(grid)[1]
+    if any(greedy.total_length < 2.0 * (1.0 - 1e-9) * distance(
+            start, centers[grid.cell_of(m.location)]) for m in messages):
+        return greedy
+    cover = grid_cover_tour(messages, grid, start)
     return greedy if greedy.total_length < cover.total_length else cover

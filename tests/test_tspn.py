@@ -1,14 +1,16 @@
 """Closed-tour planners over message reception disks."""
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from collectsim import tspn
-from collectsim.commmodel import in_range
-from collectsim.core import Message, Point, build_grid, distance, uniform_point
+from collectsim.commmodel import in_range, reception_point
+from collectsim.core import (Message, Point, RegionGrid, build_grid, distance,
+                             uniform_point)
 from collectsim.tspn import (Tour, TourStop, grid_cover_tour, nn_tspn_tour,
                              plan_tour, tour_cap, tsp_upper_bound)
 
@@ -388,3 +390,230 @@ def test_default_blocks_match_the_row_loop():
     start = Point(10.0, 10.0)
     assert (tspn._two_opt_move_array(points, start)
             == _row_loop_two_opt_pass(points, start))
+
+
+# -- resumed re-projection, the cover skip and the cycle tables -----------------
+
+
+def _closed_length(points: list[Point], start: Point) -> float:
+    total = 0.0
+    prev = start
+    for p in points:
+        total += distance(prev, p)
+        prev = p
+    return total + distance(prev, start)
+
+
+def _full_reproject_tour(msgs, radius: float, start: Point) -> Tour:
+    """nn_tspn_tour with every 2-opt round re-projecting the whole reordered
+    stop list and summing its length anew: the reference for the resumed
+    re-projection and the carried lengths."""
+    locate = {m.id: m.location for m in msgs}.__getitem__
+    if len(msgs) <= tspn._FLOAT_GREEDY_MAX:
+        best, _ = tspn._greedy_stops_float(msgs, radius, start)
+    else:
+        best, _ = tspn._greedy_stops_array(msgs, radius, start)
+    best_len = _closed_length([p for p, _ in best], start)
+    for _ in range(8):
+        order = tspn._two_opt_pass([p for p, _ in best], start)
+        if order is None:
+            break
+        candidate, prev = [], start
+        for point, mids in (best[i] for i in order):
+            if len(mids) == 1:
+                point = reception_point(prev, locate(mids[0]), radius)
+            candidate.append((point, mids))
+            prev = point
+        cand_len = _closed_length([p for p, _ in candidate], start)
+        if cand_len < best_len - 1e-12:
+            best, best_len = candidate, cand_len
+        else:
+            break
+    stops = tuple(TourStop(p, tuple(mids)) for p, mids in best)
+    return Tour(stops, best_len, start, "tspn")
+
+
+def _clustered_messages(rng, n: int, side: float,
+                        radius: float) -> list[Message]:
+    # clusters of about five, half of each on its center: a stop at the edge
+    # of the center's disk serves all of those at once, mid-tour too
+    centers = [uniform_point(rng, side) for _ in range(max(1, n // 5))]
+    spread = radius / 3.0
+    msgs = []
+    for i in range(n):
+        c = centers[int(rng.integers(len(centers)))]
+        dx, dy = rng.uniform(-spread, spread, 2).tolist()
+        if rng.random() < 0.5:
+            dx = dy = 0.0
+        msgs.append(Message(id=i, arrival_time=0.0,
+                            location=Point(c.x + dx, c.y + dy)))
+    return msgs
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.01, 2.24])
+def test_resumed_reprojection_matches_the_full_one(monkeypatch, radius):
+    firsts = []
+    reproject = tspn._reproject
+
+    def recording(stops, radius, start, locate, first, run):
+        firsts.append(first)
+        return reproject(stops, radius, start, locate, first, run)
+
+    monkeypatch.setattr(tspn, "_reproject", recording)
+    side = math.sqrt(60.0)
+    rng = np.random.default_rng(int(radius * 100) + 19)
+    batched_mid_tour = 0
+    for clustered in (False, True):
+        for n in [int(v) for v in rng.integers(1, 201, size=8)] + [200]:
+            if clustered:
+                msgs = _clustered_messages(rng, n, side, radius)
+            else:
+                msgs = _random_messages(rng, n, side)
+            start = uniform_point(rng, side)
+            # both greedy paths carry the length that summing anew gives
+            for greedy in (tspn._greedy_stops_float, tspn._greedy_stops_array):
+                stops, length = greedy(msgs, radius, start)
+                assert length.hex() == _closed_length([p for p, _ in stops],
+                                                      start).hex()
+            tour = nn_tspn_tour(msgs, radius, start)
+            want = _full_reproject_tour(msgs, radius, start)
+            assert tour == want, (clustered, n)
+            assert tour.total_length.hex() == want.total_length.hex()
+            batched_mid_tour += any(len(s.message_ids) > 1
+                                    for s in tour.stops[1:-1])
+    # the check covers resumed rounds and batched stops inside the tour
+    assert any(first > 0 for first in firsts)
+    assert batched_mid_tour > 0
+
+
+def _plan_both(msgs, grid, radius: float, start: Point) -> Tour:
+    """plan_tour as it was before the cover skip: both tours, the greedy one
+    only if strictly shorter."""
+    cover = grid_cover_tour(msgs, grid, start)
+    greedy = nn_tspn_tour(msgs, radius, start)
+    return greedy if greedy.total_length < cover.total_length else cover
+
+
+def _counting_cover(monkeypatch) -> list[int]:
+    calls = []
+    cover = tspn.grid_cover_tour
+
+    def counting(*args):
+        calls.append(1)
+        return cover(*args)
+
+    monkeypatch.setattr(tspn, "grid_cover_tour", counting)
+    return calls
+
+
+def _cover_bound_holds(msgs, grid, radius: float, start: Point) -> bool:
+    reach = max(distance(start, grid.cell_center(grid.cell_of(m.location)))
+                for m in msgs)
+    greedy = nn_tspn_tour(msgs, radius, start)
+    return greedy.total_length < 2.0 * reach * (1.0 - 1e-9)
+
+
+def test_cover_skip_plans_what_planning_both_does(monkeypatch):
+    calls = _counting_cover(monkeypatch)
+    rng = np.random.default_rng(1919)
+    skipped = called = 0
+    for area, radius in ((60.0, 2.24), (200.0, 2.2), (800.0, 2.24)):
+        grid = build_grid(area, radius)
+        for _ in range(40):
+            n = int(rng.integers(1, 12))
+            msgs = _random_messages(rng, n, grid.side)
+            start = grid.center if rng.random() < 0.5 else uniform_point(
+                rng, grid.side)
+            skip = _cover_bound_holds(msgs, grid, radius, start)
+            calls.clear()
+            tour = plan_tour(msgs, grid, radius, start)
+            assert len(calls) == (0 if skip else 1), (area, n)
+            assert tour == _plan_both(msgs, grid, radius, start), (area, n)
+            skipped += skip
+            called += not skip
+    assert skipped > 0 and called > 0
+
+
+def test_one_message_in_the_start_cell_keeps_the_cover(monkeypatch):
+    calls = _counting_cover(monkeypatch)
+    grid = build_grid(60.0, 2.24)  # 3 x 3, the start is the middle center
+    start = grid.center
+    msgs = _messages([(start.x + 0.5, start.y - 0.25)])
+    tour = plan_tour(msgs, grid, 2.24, start)
+    assert len(calls) == 1  # a bound of zero cannot rule the cover out
+    assert nn_tspn_tour(msgs, 2.24, start).total_length == 0.0
+    assert tour.method == "grid_cover" and tour.total_length == 0.0
+    assert tour == _plan_both(msgs, grid, 2.24, start)
+
+
+def test_batch_in_the_farthest_cells_only(monkeypatch):
+    calls = _counting_cover(monkeypatch)
+    grid = build_grid(60.0, 2.24)
+    start = grid.center
+    k = grid.cells_per_side
+    corners = (0, k - 1, k * (k - 1), k * k - 1)
+    far = max(distance(start, grid.cell_center(c)) for c in range(k * k))
+    for count in (1, 2, 4):
+        points = [grid.cell_center(c) for c in corners[:count]]
+        msgs = _messages([(p.x, p.y) for p in points])
+        assert all(distance(start, p) == pytest.approx(far, rel=1e-12)
+                   for p in points)
+        skip = _cover_bound_holds(msgs, grid, 2.24, start)
+        calls.clear()
+        tour = plan_tour(msgs, grid, 2.24, start)
+        assert len(calls) == (0 if skip else 1), count
+        assert tour == _plan_both(msgs, grid, 2.24, start), count
+    # one far corner: the greedy tour stops short of it, so the cover loses
+    # without being planned; all four: the greedy tour is longer than the
+    # bound, so the cover is planned, and loses
+    assert _cover_bound_holds(msgs[:1], grid, 2.24, start)
+    assert not _cover_bound_holds(msgs, grid, 2.24, start)
+    assert tour.method == "tspn"
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 9])
+def test_cycle_tables_are_the_grid_arithmetic(k):
+    for origin in (Point(0.0, 0.0), Point(-3.5, 12.25)):
+        grid = RegionGrid(origin=origin, side=7.0, cells_per_side=k)
+        ranks, centers = tspn._cycle_tables(grid)
+        cells = range(grid.num_cells)
+        assert ranks == tuple(grid.visit_rank(c) for c in cells)
+        assert centers == tuple(grid.cell_center(c) for c in cells)
+
+
+def test_cycle_table_cache_is_bounded():
+    bound = tspn._cycle_tables.cache_info().maxsize
+    assert bound == 8
+    for k in range(1, 2 * bound + 2):
+        tspn._cycle_tables(RegionGrid(Point(0.0, 0.0), 5.0, k))
+    assert tspn._cycle_tables.cache_info().currsize == bound
+
+
+def _render(tour: Tour) -> str:
+    stops = ";".join(f"{s.point.x.hex()},{s.point.y.hex()}:"
+                     + ",".join(map(str, s.message_ids)) for s in tour.stops)
+    return f"{tour.method} {tour.total_length.hex()} {stops}\n"
+
+
+# sha256 over _render of the 200 plans of test_planned_tours_are_pinned. A
+# planner change that moves a stop, reorders a tour or changes a length bit
+# updates it and says why in CHANGES.md; any other change leaves it alone.
+PINNED_TOURS_SHA256 = (
+    "59e47c2506a0eb9c01c7b2015890c84db9f9bd266e545e58afc980015492537d")
+
+
+def test_planned_tours_are_pinned():
+    rng = np.random.default_rng(2019)
+    digest = hashlib.sha256()
+    for area in (60.0, 800.0):
+        grid = build_grid(area, 2.24)
+        for i in range(100):
+            n = int(rng.integers(1, 121))
+            if i % 4 == 3:
+                msgs = _clustered_messages(rng, n, grid.side, 2.24)
+            else:
+                msgs = _random_messages(rng, n, grid.side)
+            start = grid.center if i % 2 else uniform_point(rng, grid.side)
+            digest.update(_render(plan_tour(msgs, grid, 2.24,
+                                            start)).encode())
+    assert digest.hexdigest() == PINNED_TOURS_SHA256
