@@ -8,7 +8,8 @@ evaluates the closed-form bounds, and writes comma-separated result tables
 Config grammar: one ``section.key = value`` per line, ``#`` starts a
 comment, blank lines ignored. SNR is given in dB here and converted to a
 linear ratio at this boundary; the decoding threshold and path-loss exponent
-are linear. Recognized keys and defaults are listed in KEYS.
+are linear. Each key is declared once, with its default, parser and help
+text, in the metadata of its ExperimentSpec field; KEYS maps keys to fields.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .bounds import BoundReport, bound_report
@@ -49,25 +50,6 @@ BOUNDS_COLUMNS = (
 
 MESSAGE_COLUMNS = ("id", "arrival_time", "x", "y", "reception_start",
                    "departure_time", "wait_travel", "wait_service")
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Validated experiment description (SNR already in dB as given)."""
-
-    area: float
-    speed: float
-    reception_time: float
-    snr_db: float
-    snr_threshold: float
-    path_loss: float
-    collectors: int
-    policies: tuple[PolicyKind, ...]
-    loads: tuple[float, ...]
-    snr_db_sweep: tuple[float, ...]
-    seeds: tuple[int, ...]
-    messages: int
-    warmup: float
 
 
 def _fmt(value, digits: int = 6) -> str:
@@ -105,25 +87,22 @@ def parse_config_text(text: str) -> dict[str, str]:
     return mapping
 
 
-def _parse_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigurationError(f"{key}: expected a number, got {value!r}")
+def _parser(convert, expected: str):
+    """Parser of one config value by ``convert``; a value it rejects is
+    reported with its key and what was expected."""
+    def parse(key: str, value: str):
+        try:
+            return convert(value)
+        except ValueError:
+            raise ConfigurationError(
+                f"{key}: expected {expected}, got {value!r}")
+    return parse
 
 
-def _parse_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigurationError(f"{key}: expected an integer, got {value!r}")
-
-
-def _parse_policy(key: str, value: str) -> PolicyKind:
-    try:
-        return PolicyKind(value)
-    except ValueError as exc:
-        raise ConfigurationError(f"{key}: {exc}")
+_parse_float = _parser(float, "a number")
+_parse_int = _parser(int, "an integer")
+_parse_policy = _parser(
+    PolicyKind, "one of " + ", ".join(kind.value for kind in PolicyKind))
 
 
 def _parse_list(item):
@@ -150,36 +129,49 @@ def _parse_seeds(key: str, value: str) -> tuple[int, ...]:
     return seeds
 
 
-# key -> (ExperimentSpec field, default or None when required, parser, help)
-KEYS = {
-    "scenario.area": ("area", None, _parse_float,
-                      "region area, squared distance units"),
-    "scenario.speed": ("speed", None, _parse_float,
-                       "collector speed (inf allowed)"),
-    "scenario.reception_time": ("reception_time", None, _parse_float,
-                                "time to receive one message"),
-    "scenario.snr_db": ("snr_db", None, _parse_float,
-                        "reference SNR at unit distance, dB"),
-    "scenario.snr_threshold": ("snr_threshold", "2.0", _parse_float,
-                               "decoding threshold, linear"),
-    "scenario.path_loss": ("path_loss", "4.0", _parse_float,
-                           "path-loss exponent in [2, 6]"),
-    "scenario.collectors": ("collectors", "1", _parse_int,
-                            "number of collectors"),
-    "policy.kinds": ("policies", "grid_partitioning",
-                     _parse_list(_parse_policy),
-                     "comma-separated distinct policy names"),
-    "sweep.loads": ("loads", None, _parse_list(_parse_float),
-                    "comma-separated distinct loads in (0, 1.2]"),
-    "sweep.snr_db": ("snr_db_sweep", "", _parse_list(_parse_float),
-                     "optional SNR sweep (bounds verb only)"),
-    "run.messages": ("messages", "20000", _parse_int,
-                     "completed messages per (policy,load,seed)"),
-    "run.seeds": ("seeds", "1,2,3", _parse_seeds,
-                  "comma-separated distinct non-negative seeds"),
-    "run.warmup": ("warmup", "0.2", _parse_float,
-                   "warmup fraction of completed messages"),
-}
+def _key(key: str, default: str | None, parse, text: str):
+    """ExperimentSpec field of config ``key``, required if default is None."""
+    return field(metadata={"key": key, "default": default, "parse": parse,
+                           "help": text})
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """Validated experiment description (SNR already in dB as given)."""
+
+    area: float = _key("scenario.area", None, _parse_float,
+                       "region area, squared distance units")
+    speed: float = _key("scenario.speed", None, _parse_float,
+                        "collector speed (inf allowed)")
+    reception_time: float = _key("scenario.reception_time", None,
+                                 _parse_float, "time to receive one message")
+    snr_db: float = _key("scenario.snr_db", None, _parse_float,
+                         "reference SNR at unit distance, dB")
+    snr_threshold: float = _key("scenario.snr_threshold", "2.0", _parse_float,
+                                "decoding threshold, linear")
+    path_loss: float = _key("scenario.path_loss", "4.0", _parse_float,
+                            "path-loss exponent in [2, 6]")
+    collectors: int = _key("scenario.collectors", "1", _parse_int,
+                           "number of collectors")
+    policies: tuple[PolicyKind, ...] = _key(
+        "policy.kinds", "grid_partitioning", _parse_list(_parse_policy),
+        "comma-separated distinct policy names")
+    loads: tuple[float, ...] = _key(
+        "sweep.loads", None, _parse_list(_parse_float),
+        "comma-separated distinct loads in (0, 1.2]")
+    snr_db_sweep: tuple[float, ...] = _key(
+        "sweep.snr_db", "", _parse_list(_parse_float),
+        "optional SNR sweep (bounds verb only)")
+    messages: int = _key("run.messages", "20000", _parse_int,
+                         "completed messages per (policy,load,seed)")
+    seeds: tuple[int, ...] = _key(
+        "run.seeds", "1,2,3", _parse_seeds,
+        "comma-separated distinct non-negative seeds")
+    warmup: float = _key("run.warmup", "0.2", _parse_float,
+                         "warmup fraction of completed messages")
+
+
+KEYS = {f.metadata["key"]: f for f in fields(ExperimentSpec)}
 
 
 def build_spec(mapping: dict[str, str]) -> ExperimentSpec:
@@ -187,12 +179,13 @@ def build_spec(mapping: dict[str, str]) -> ExperimentSpec:
     for key in mapping:
         if key not in KEYS:
             raise ConfigurationError(f"{key}: unknown configuration key")
-    fields = {}
-    for key, (name, default, parse, _) in KEYS.items():
+    values = {}
+    for key, f in KEYS.items():
+        default = f.metadata["default"]
         if key not in mapping and default is None:
             raise ConfigurationError(f"{key}: required key is missing")
-        fields[name] = parse(key, mapping.get(key, default))
-    spec = ExperimentSpec(**fields)
+        values[f.name] = f.metadata["parse"](key, mapping.get(key, default))
+    spec = ExperimentSpec(**values)
 
     if not spec.policies:
         raise ConfigurationError("policy.kinds: at least one policy required")

@@ -181,6 +181,7 @@ class Simulation:
         self._next_arrival_loc = uniform_point(self.rng, self._side)
 
     def _dispatch(self, collector: CollectorState) -> None:
+        """Carry out step_policy's action; a Wait leaves the collector idle."""
         action = step_policy(self.policy, self, collector.id)
         if isinstance(action, TravelTo):
             leg = action.length
@@ -192,20 +193,13 @@ class Simulation:
             collector.leg_start = self.time
             heappush(self._heap, (self.time + leg / self.config.speed,
                                   _TRAVEL_DONE, next(self._seq), collector.id))
-            return
-        if isinstance(action, Receive):
+        elif isinstance(action, Receive):
             msg = self.messages[action.message_id]
             msg.reception_start = self.time
             msg.collector = collector.id
             collector.phase = "receiving"
             heappush(self._heap, (self.time + self.config.reception_time,
                                   _RECEPTION_DONE, next(self._seq), msg.id))
-            return
-        if not isinstance(action, Wait):
-            raise ContractViolation(f"policy {self.policy.name!r} returned "
-                                    f"{action!r}, which is not an action")
-        collector.phase = "idle"
-        collector.target = None
 
     # -- event handlers
 
@@ -287,9 +281,9 @@ class Simulation:
 
 
 def step_policy(policy: Policy, sim: Simulation, collector_id: int) -> Action:
-    """Ask the policy for one action and enforce the physical contract:
-    receptions only of unserved messages within the reception radius, and
-    travel paths no shorter than the straight line."""
+    """Ask the policy for one action and enforce the whole action contract:
+    a Wait, TravelTo or Receive; receptions only of unserved messages within
+    the reception radius; travel paths no shorter than the straight line."""
     action = policy.next_action(sim, collector_id)
     if isinstance(action, Receive):
         if not 0 <= action.message_id < len(sim.messages):
@@ -308,15 +302,19 @@ def step_policy(policy: Policy, sim: Simulation, collector_id: int) -> Action:
                 f"receive message {msg.id} from out of range "
                 f"(distance {distance(collector.position, msg.location):.6g}, "
                 f"radius {sim.radius:.6g})")
-    elif isinstance(action, TravelTo) and action.length is not None:
-        straight = distance(sim.collectors[collector_id].position,
-                            action.target)
-        # k collinear hops can sum one ulp short of the direct hypot
-        if not action.length >= straight * (1.0 - 1e-12):
-            raise ContractViolation(
-                f"policy {policy.name!r} asked collector {collector_id} to "
-                f"travel a path of length {action.length!r}, shorter than "
-                f"the straight line ({straight:.6g})")
+    elif isinstance(action, TravelTo):
+        if action.length is not None:
+            straight = distance(sim.collectors[collector_id].position,
+                                action.target)
+            # k collinear hops can sum one ulp short of the direct hypot
+            if not action.length >= straight * (1.0 - 1e-12):
+                raise ContractViolation(
+                    f"policy {policy.name!r} asked collector {collector_id} "
+                    f"to travel a path of length {action.length!r}, shorter "
+                    f"than the straight line ({straight:.6g})")
+    elif not isinstance(action, Wait):
+        raise ContractViolation(f"policy {policy.name!r} returned "
+                                f"{action!r}, which is not an action")
     return action
 
 

@@ -55,7 +55,10 @@ class FcfsReturn(Fcfs):
     collector first returns to the region center before the next decision."""
 
     name = "fcfs_return"
-    _return_due = False
+
+    def attach(self, sim: Simulation) -> None:
+        super().attach(sim)
+        self._return_due = False
 
     def next_action(self, sim: Simulation, collector_id: int) -> Action:
         if self._return_due:
@@ -204,12 +207,9 @@ class MultiPartitioning:
         return self.inners[collector_id].next_action(sim, collector_id)
 
 
-_SINGLE_KINDS = {
-    PolicyKind.FCFS: Fcfs,
-    PolicyKind.FCFS_RETURN: FcfsReturn,
-    PolicyKind.TSPN_CYCLIC: TspnCyclic,
-    PolicyKind.GRID_PARTITIONING: GridPartitioning,
-}
+# policy name -> class; a PolicyKind's value is its policy's name
+_POLICIES = {cls.name: cls for cls in (Fcfs, FcfsReturn, TspnCyclic,
+                                       GridPartitioning, MultiPartitioning)}
 
 
 def make_policy(kind: PolicyKind | str, config: ScenarioConfig):
@@ -218,9 +218,8 @@ def make_policy(kind: PolicyKind | str, config: ScenarioConfig):
     kind = PolicyKind(kind)
     if kind == PolicyKind.MULTI_PARTITIONING:
         fleet_side(config.collectors)
-        return MultiPartitioning()
-    if config.collectors != 1:
+    elif config.collectors != 1:
         raise ConfigurationError(
             f"policy {kind.value!r} drives a single collector; "
             f"configure collectors=1 or use multi_partitioning")
-    return _SINGLE_KINDS[kind]()
+    return _POLICIES[kind.value]()

@@ -197,9 +197,10 @@ def _greedy_stops_array(messages: Sequence, radius: float, start: Point
     return stops, length + distance(here, start)
 
 
-def _two_opt_pass(points: list[Point], start: Point) -> list[int] | None:
-    """One best-improvement 2-opt move on the stop order; None if no move
-    improves.
+def _two_opt_move(points: list[Point],
+                  start: Point) -> tuple[int, int] | None:
+    """One best-improvement 2-opt move (i, j) on the stop order: reverse
+    stops i..j. None below 3 stops or if no move improves.
 
     Reversing stops i..j (1-based, the start is P[0] and P[n+1]) replaces
     edges (i-1, i) and (j, j+1), for a gain of
@@ -213,15 +214,8 @@ def _two_opt_pass(points: list[Point], start: Point) -> list[int] | None:
     if n < 3:
         return None
     if n <= _FLOAT_TWO_OPT_MAX:
-        move = _two_opt_move_float(points, start)
-    else:
-        move = _two_opt_move_array(points, start)
-    if move is None:
-        return None
-    i, j = move
-    order = list(range(n))
-    order[i - 1:j] = reversed(order[i - 1:j])
-    return order
+        return _two_opt_move_float(points, start)
+    return _two_opt_move_array(points, start)
 
 
 def _two_opt_move_float(points: list[Point],
@@ -303,15 +297,15 @@ def nn_tspn_tour(messages: Sequence, radius: float, start: Point) -> Tour:
         best, best_len = _greedy_stops_array(messages, radius, start)
     run: list[float] = []  # running lengths of best once re-projected
     for _ in range(8):
-        order = _two_opt_pass([p for p, _ in best], start)
-        if order is None:
+        move = _two_opt_move([p for p, _ in best], start)
+        if move is None:
             break
+        i, j = move
         # a re-projected tour is a fixed point before the first reversed
         # stop; a raw greedy stop in the in_range slack band is not
-        first = next(k for k, i in enumerate(order) if k != i) if run else 0
         candidate, cand_run, cand_len = _reproject(
-            [best[i] for i in order], radius, start, by_id.__getitem__,
-            first, run)
+            best[:i - 1] + best[i - 1:j][::-1] + best[j:], radius, start,
+            by_id.__getitem__, i - 1 if run else 0, run)
         if cand_len < best_len - 1e-12:
             best, run, best_len = candidate, cand_run, cand_len
         else:

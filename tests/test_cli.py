@@ -111,6 +111,7 @@ def test_build_spec_applies_defaults():
     ("policy.kinds = grid_partitioning, grid_partitioning",
      "policy.kinds: entries must be distinct"),
     ("policy.kinds = teleport", "policy.kinds"),
+    ("policy.kinds = teleport", "policy.kinds: expected one of fcfs, "),
     ("policy.inner = grid_partitioning", "unknown configuration key"),
     ("scenario.area = sixty", "expected a number"),
     ("run.messages = many", "expected an integer"),
@@ -605,9 +606,10 @@ def test_main_requires_verb():
 
 
 def test_keys_table_is_documented():
-    for key, (_, _, _, help_text) in KEYS.items():
-        assert help_text, key
-    targets = [name for name, _, _, _ in KEYS.values()]
+    for key, f in KEYS.items():
+        assert f.metadata["key"] == key
+        assert f.metadata["help"], key
+    targets = [f.name for f in KEYS.values()]
     assert sorted(targets) == sorted(f.name for f in fields(ExperimentSpec))
 
 

@@ -9,7 +9,7 @@ import pytest
 from collectsim.core import (ConfigurationError, ContractViolation, Point,
                              distance)
 from collectsim.engine import (WAIT, EventTrace, Receive, Simulation,
-                               StopRule, TravelTo, Wait, run)
+                               StopRule, TravelTo, Wait, run, step_policy)
 from collectsim.policies import PolicyKind, make_policy
 from collectsim.stats import occupancy_steps, wait_split
 
@@ -404,6 +404,16 @@ def test_non_action_is_rejected():
     with pytest.raises(ContractViolation,
                        match="policy 'rogue' returned None, which is not"):
         run(cfg, _ReturnsNothing(), StopRule(max_messages=10))
+
+
+def test_step_policy_rejects_a_non_action():
+    # the contract is step_policy's own, not the event loop's
+    cfg = reception_queue_config(0.5, seed=0)
+    policy = _ReturnsNothing()
+    sim = Simulation(cfg, policy, StopRule(max_messages=10))
+    with pytest.raises(ContractViolation,
+                       match="policy 'rogue' returned None, which is not"):
+        step_policy(policy, sim, 0)
 
 
 def test_wait_action_singleton():

@@ -61,13 +61,34 @@ def test_make_policy_validates_collector_count():
             (center.x - half, center.y - half), rel=1e-12)
 
 
+def test_policy_table_covers_every_kind():
+    assert sorted(policies._POLICIES) == sorted(k.value for k in PolicyKind)
+
+
 def test_policy_instances_are_resettable():
+    # a run that stops at its message target ends just after a reception,
+    # so state left over from it would show in the next run's first actions
     cfg = wide_region_config(0.5, seed=2, reception_time=1.0, speed=2.0)
-    pol = make_policy("fcfs", cfg)
-    a = run(cfg, pol, StopRule(max_messages=200))
-    b = run(cfg, pol, StopRule(max_messages=200))
-    assert [m.departure_time for m in a.completed] == \
-        [m.departure_time for m in b.completed]
+    for kind in PolicyKind:
+        if kind == PolicyKind.MULTI_PARTITIONING:
+            continue
+        pol = make_policy(kind, cfg)
+        next_action = pol.next_action
+        actions = []
+
+        def recording(sim, collector_id):
+            action = next_action(sim, collector_id)
+            actions[-1].append(action)
+            return action
+
+        pol.next_action = recording
+        departures = []
+        for _ in range(2):
+            actions.append([])
+            trace = run(cfg, pol, StopRule(max_messages=200))
+            departures.append([m.departure_time for m in trace.completed])
+        assert actions[0] == actions[1], kind
+        assert departures[0] == departures[1], kind
 
 
 # -- arrival-order service ----------------------------------------------------------

@@ -376,10 +376,9 @@ def test_two_opt_pass_switches_path_past_the_float_max(monkeypatch, n,
     start = Point(3.0, 4.0)
     for lattice in (False, True):
         points = _stop_points(rng, n, lattice)
-        i, j = _row_loop_two_opt_pass(points, start)
-        order = list(range(n))
-        order[i - 1:j] = reversed(order[i - 1:j])
-        assert tspn._two_opt_pass(points, start) == order, lattice
+        move = _row_loop_two_opt_pass(points, start)
+        assert move is not None
+        assert tspn._two_opt_move(points, start) == move, lattice
 
 
 def test_default_blocks_match_the_row_loop():
@@ -415,11 +414,14 @@ def _full_reproject_tour(msgs, radius: float, start: Point) -> Tour:
         best, _ = tspn._greedy_stops_array(msgs, radius, start)
     best_len = _closed_length([p for p, _ in best], start)
     for _ in range(8):
-        order = tspn._two_opt_pass([p for p, _ in best], start)
-        if order is None:
+        move = tspn._two_opt_move([p for p, _ in best], start)
+        if move is None:
             break
+        i, j = move
+        order = list(range(len(best)))
+        order[i - 1:j] = reversed(order[i - 1:j])
         candidate, prev = [], start
-        for point, mids in (best[i] for i in order):
+        for point, mids in (best[k] for k in order):
             if len(mids) == 1:
                 point = reception_point(prev, locate(mids[0]), radius)
             candidate.append((point, mids))
