@@ -116,16 +116,15 @@ def grid_cover_tour(messages: Sequence, grid: RegionGrid,
 # ones on numpy arrays, whose per-call overhead only pays off on longer
 # sweeps: on uniform batches at r = 2.24 the float path is the faster up to 96
 # messages at areas 60 and 800, the array path from 112 at area 800
-# (CHANGES.md). Both return the same stops: they measure with the C library's
-# hypot, which np.hypot calls and so does abs() of a complex, while math.hypot
-# differs from it in the last bit on about 0.6% of inputs, enough to flip an
-# argmin or a range test.
+# (CHANGES.md). Both return the same stops, and every stop passes in_range
+# for the messages it serves: all three measure with the C library's hypot,
+# which np.hypot calls and so does abs() of a complex (core.distance).
 _FLOAT_GREEDY_MAX = 96
 # Stop lists up to this many stops run the 2-opt pass as a double loop on
 # Python floats, longer ones on numpy arrays: 16 is where the two cost the
 # same per call, about 50 us on a 2-vCPU Xeon (3 against 22 us at 3 stops).
-# Both take the same move, since abs() of a complex calls the C library's
-# hypot as np.hypot does (see above); math.hypot does not.
+# Both take the same move, since both measure with the C library's hypot
+# (see above).
 _FLOAT_TWO_OPT_MAX = 16
 # The array pass evaluates its gain matrix in row blocks of at most this many
 # entries, so memory stays bounded at any stop count.
@@ -153,9 +152,6 @@ def _greedy_stops_float(messages: Sequence, radius: float, start: Point
             length += distance(last, here)
             at = complex(here.x, here.y)
             dist = [abs(z - at) for z in zs]
-        # the stop passes in_range for the message aimed at, even where
-        # hypot rounds the other way
-        dist[k] = 0.0
         served = [q for q, d in enumerate(dist) if d <= slack]
         stops.append((here, [ids[q] for q in served]))
         # served messages leave the lists, the rest keep their order
@@ -185,11 +181,7 @@ def _greedy_stops_array(messages: Sequence, radius: float, start: Point
             here, last = reception_point(here, aim, radius), here
             length += distance(last, here)
             dist = np.hypot(xs - here.x, ys - here.y)
-        hits = dist <= slack
-        # the stop passes in_range for the message aimed at, even where
-        # numpy's hypot rounds the other way
-        hits[j] = True
-        served = np.flatnonzero(hits)
+        served = np.flatnonzero(dist <= slack)
         xs[served] = np.inf
         dist[served] = np.inf
         left -= len(served)
