@@ -452,6 +452,11 @@ run.messages = 2000
 run.seeds = 1
 """,
 }
+# the other single-collector policies on the case2 scenario, at a smaller
+# budget; their message dumps pin every event the engine handled
+for _kind in ("fcfs", "fcfs_return", "tspn_cyclic"):
+    PINNED_SCENARIOS[_kind] = PINNED_SCENARIOS["case2"].replace(
+        "grid_partitioning", _kind).replace("2000", "500")
 
 # sha256 of the written tables. A change that is meant to alter the simulated
 # stream or the table format updates these and says why in CHANGES.md; any
@@ -465,6 +470,12 @@ PINNED_SHA256 = {
         "c0326b243421e82d67c8da2469b652929bc4126be8b9e4193bfdd9cc1ac0a864",
     ("fleet", "trace"):
         "cf9e4a7a39abbd87a48a37eb1b3a66fcc2a782b549e7475d8744902440e7de43",
+    ("fcfs", "trace"):
+        "888fcc20c8258473c6a0df4014f8b216da68d438a326491ddcf6d534bd4cfd51",
+    ("fcfs_return", "trace"):
+        "af8815b78b8b617c4f9498d84211481a88b7f8f59519b4601f7ae0753cfe00f2",
+    ("tspn_cyclic", "trace"):
+        "af90ce22168c0079b0fe9b517f3a209cb8806cc16d55af68fd3ed1b53e81d0d2",
 }
 
 
