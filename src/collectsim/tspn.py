@@ -74,15 +74,13 @@ def _cycle_tables(grid: RegionGrid) -> tuple[tuple, tuple]:
 
 
 def grid_cover_tour(messages: Sequence, grid: RegionGrid,
-                    start: Point | None = None) -> Tour:
+                    start: Point) -> Tour:
     """Visit the centers of the grid cells that hold messages, in grid cycle
     order, entering the cycle at the rotation that minimizes total length.
 
     Every message is receivable from its cell center by construction of the
     grid. Within a stop, messages keep their input order.
     """
-    if start is None:
-        start = grid.center
     buckets: dict[int, list[int]] = {}
     for msg in messages:
         buckets.setdefault(grid.cell_of(msg.location), []).append(msg.id)

@@ -60,7 +60,7 @@ def test_tour_cap_single_cell():
 
 def test_grid_cover_empty_batch():
     grid = build_grid(200.0, 2.2)
-    tour = grid_cover_tour([], grid)
+    tour = grid_cover_tour([], grid, grid.center)
     assert tour.stops == ()
     assert tour.total_length == 0.0
     assert tour.start == grid.center
@@ -83,7 +83,7 @@ def test_grid_cover_serves_everything_from_cell_centers():
     grid = build_grid(60.0, 2.2373941648)
     rng = np.random.default_rng(2)
     msgs = _random_messages(rng, 200, grid.side)
-    tour = grid_cover_tour(msgs, grid)
+    tour = grid_cover_tour(msgs, grid, grid.center)
     assert sorted(tour.message_ids) == list(range(200))
     by_stop = {i: s.point for s in tour.stops for i in s.message_ids}
     for m in msgs:
@@ -127,7 +127,7 @@ def test_grid_cover_full_coverage_length_ignores_positions():
             jx, jy = rng.uniform(-1.0, 1.0, 2)
             msgs.append(Message(id=i, arrival_time=0.0,
                                 location=Point(c.x + jx, c.y + jy)))
-        tour = grid_cover_tour(msgs, grid)
+        tour = grid_cover_tour(msgs, grid, grid.center)
         lengths.add(round(tour.total_length, 9))
     assert len(lengths) == 1
     assert lengths.pop() <= tour_cap(grid) + 1e-9
@@ -228,7 +228,7 @@ def test_plan_tour_never_beats_its_components():
         n = int(rng.integers(1, 400))
         msgs = _random_messages(rng, n, grid.side)
         tour = plan_tour(msgs, grid, 2.2)
-        cover = grid_cover_tour(msgs, grid)
+        cover = grid_cover_tour(msgs, grid, grid.center)
         greedy = nn_tspn_tour(msgs, 2.2, grid.center)
         assert tour.total_length == pytest.approx(
             min(cover.total_length, greedy.total_length), rel=1e-12)
