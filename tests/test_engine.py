@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -124,6 +125,84 @@ def test_leg_end_goes_before_an_arrival_at_the_same_instant():
     assert trace.end_time == 3.0
     assert len(trace.messages) == 2
     assert trace.total_travel_distance == 1.0
+
+
+# -- dispatch order ----------------------------------------------------------------
+
+
+class _Scripted:
+    """Answers each (time, collector) from a script, else waits, and logs
+    every question with the phases of all collectors when it was asked.
+    Script entries: ("receive", message id) or ("travel", duration), a leg
+    that ends where it starts."""
+
+    name = "scripted"
+
+    def __init__(self, script):
+        self.script = script
+
+    def attach(self, sim):
+        self.asked = []
+
+    def on_arrival(self, sim, msg):
+        pass
+
+    def next_action(self, sim, collector_id):
+        phases = tuple(c.phase for c in sim.collectors)
+        self.asked.append((sim.time, collector_id, phases))
+        verb, arg = self.script.get((sim.time, collector_id), ("wait", None))
+        if verb == "receive":
+            return Receive(arg)
+        if verb == "travel":
+            here = sim.collectors[collector_id].position
+            return TravelTo(here, arg * sim.config.speed)
+        return WAIT
+
+
+def _scripted_run(script, gaps, collectors=3):
+    # reception time 2, every message at the center, where collectors start
+    cfg = replace(reception_queue_config(0.5, seed=0), reception_time=2.0,
+                  collectors=collectors)
+    policy = _Scripted(script)
+    sim = Simulation(cfg, policy, StopRule(horizon=20.0))
+    sim.rng = _GapStub(gaps)
+    sim.run()
+    return policy.asked
+
+
+def test_an_arrival_asks_every_idle_collector_in_id_order():
+    # arrivals at 1, 1.5 and 4; collector 1 receives message 0 from 1 to 3
+    asked = _scripted_run({(1.0, 1): ("receive", 0)}, [1.0, 0.5, 2.5])
+    assert [(t, c) for t, c, _ in asked] == [
+        (1.0, 0), (1.0, 1), (1.0, 2),
+        (1.5, 0), (1.5, 2),  # collector 1 is busy: not asked
+        (3.0, 1),  # its reception ended: it alone is asked
+        (4.0, 0), (4.0, 1), (4.0, 2)]
+    for t, c, phases in asked:
+        assert phases[c] == "idle", (t, c)
+
+
+def test_a_wait_leaves_the_collector_idle_until_the_next_arrival():
+    # collector 0 waits at 1 while collector 1 travels from 1 to 2 and
+    # receives from 2 to 4: collector 0 is asked again only at the arrival
+    # at 5, and stayed idle meanwhile
+    script = {(1.0, 1): ("travel", 1.0), (2.0, 1): ("receive", 0)}
+    asked = _scripted_run(script, [1.0, 4.0], collectors=2)
+    assert [(t, c) for t, c, _ in asked] == [
+        (1.0, 0), (1.0, 1), (2.0, 1), (4.0, 1), (5.0, 0), (5.0, 1)]
+    assert all(phases[0] == "idle" for _, _, phases in asked)
+
+
+def test_same_instant_events_go_receptions_first_then_by_scheduling():
+    # all three end at 3: collector 1's leg is scheduled at 1, before
+    # collector 2's reception and collector 0's leg (at the arrival at 2);
+    # the reception goes first, then the legs in the order they were
+    # scheduled, not by collector id
+    script = {(1.0, 1): ("travel", 2.0), (1.0, 2): ("receive", 0),
+              (2.0, 0): ("travel", 1.0)}
+    asked = _scripted_run(script, [1.0, 1.0])
+    assert [(t, c) for t, c, _ in asked if t == 3.0] == [
+        (3.0, 2), (3.0, 1), (3.0, 0)]
 
 
 # -- determinism -------------------------------------------------------------------

@@ -3,36 +3,50 @@
 ``perfbench/spans.py`` swaps module attributes with ``setattr``. That works
 as long as the name exists, even when the engine no longer calls it through
 the module (say, through a local alias), and the layer then drops out of the
-trace without an error. One small traced CLI run shows that the hooks fire.
+trace without an error. One small traced CLI run per policy shows that the
+hooks fire.
 """
 from __future__ import annotations
 
 import importlib
 from pathlib import Path
 
+import pytest
+
 from collectsim import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-# a pure reception queue under the cell sweep, which checks no range
-# itself: every range check comes from the engine's contract check
 CONFIG = """
-scenario.area = 4
-scenario.speed = 1
+scenario.area = {area}
+scenario.speed = {speed}
 scenario.reception_time = 1
 scenario.snr_db = 20
+scenario.collectors = {collectors}
 sweep.loads = 0.5
-policy.kinds = grid_partitioning
+policy.kinds = {policy}
 run.messages = 300
 run.seeds = 1
 """
 
+# policy -> (area, speed, collectors). The cell sweep on the small region is
+# a pure reception queue; fcfs drives to each message; the four-collector
+# fleet sweeps a 2 x 2 grid per subregion
+SCENARIOS = {
+    "grid_partitioning": (4, 1, 1),
+    "fcfs": (60, 10, 1),
+    "multi_partitioning": (64, 10, 4),
+}
 
-def test_tracer_hooks_fire_on_a_cli_run(tmp_path, monkeypatch, capsys):
+
+@pytest.mark.parametrize("policy", sorted(SCENARIOS))
+def test_tracer_hooks_fire_on_a_cli_run(tmp_path, monkeypatch, policy):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spans = importlib.import_module("spans")
+    area, speed, collectors = SCENARIOS[policy]
     config = tmp_path / "mini.cfg"
-    config.write_text(CONFIG)
+    config.write_text(CONFIG.format(area=area, speed=speed,
+                                    collectors=collectors, policy=policy))
     tracer = spans.Tracer()
     with spans.installed(tracer):
         code = cli.main(["run", "--config", str(config),
@@ -41,4 +55,13 @@ def test_tracer_hooks_fire_on_a_cli_run(tmp_path, monkeypatch, capsys):
     steps = tracer.calls("engine.step_policy")
     assert steps == tracer.calls("policies.next_action") > 0
     receptions = tracer.counts["action.Receive"]
-    assert tracer.counts["commmodel.in_range"] == receptions >= 300
+    assert receptions >= 300
+    if policy == "fcfs":
+        # fcfs tests the range itself before each reception and each leg
+        assert tracer.counts["commmodel.in_range"] > receptions
+    else:
+        # the sweeps check no range themselves: every range check comes
+        # from the engine's contract check
+        assert tracer.counts["commmodel.in_range"] == receptions
+    if policy != "grid_partitioning":
+        assert tracer.counts["action.TravelTo"] > 0
