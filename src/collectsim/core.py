@@ -199,8 +199,11 @@ class RegionGrid:
         """
         k = self.cells_per_side
         cell_side = self.side / k
-        col = min(k - 1, max(0, int((p.x - self.origin.x) / cell_side)))
-        row = min(k - 1, max(0, int((p.y - self.origin.y) / cell_side)))
+        col = int((p.x - self.origin.x) / cell_side)
+        row = int((p.y - self.origin.y) / cell_side)
+        # clamped by comparisons, cheaper than min/max once per arrival
+        col = 0 if col < 0 else k - 1 if col >= k else col
+        row = 0 if row < 0 else k - 1 if row >= k else row
         return col + k * row
 
     def cell_center(self, cell: int) -> Point:

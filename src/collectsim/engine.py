@@ -4,7 +4,9 @@ The engine owns physics and records facts: Poisson arrivals, straight-line
 motion at constant speed, fixed-length receptions, and per message its
 arrival, reception start and end and receiver; ``stats`` derives the rest.
 All routing decisions come from the attached policy through a three-verb
-action interface.
+action interface. ``Simulation.run`` is the one event loop: it handles every
+arrival, leg end and reception end, and carries out each action that
+``step_policy`` asked for and checked in one place.
 """
 
 from __future__ import annotations
@@ -59,9 +61,7 @@ class Policy(Protocol):
     name: str
 
     def attach(self, sim: "Simulation") -> None: ...
-
     def on_arrival(self, sim: "Simulation", msg: Message) -> None: ...
-
     def next_action(self, sim: "Simulation", collector_id: int) -> Action: ...
 
 
@@ -73,8 +73,7 @@ class Policy(Protocol):
 class CollectorState:
     """One collector: position and current activity. ``leg`` and
     ``leg_start`` are the length and start time of the current (or last)
-    travel leg; what it receives is recorded on the messages.
-    """
+    travel leg; what it receives is recorded on the messages."""
 
     id: int
     position: Point
@@ -120,8 +119,8 @@ class EventTrace:
     None: unfinished at ``end_time``); the number in system, the wait split
     and the receiving time are derived from them. ``completed`` lists the
     finished ones in completion order. ``diverged``: the run stopped at an
-    arrival that put more than ``Simulation.divergence_threshold`` in system.
-    """
+    arrival that put more than ``Simulation.divergence_threshold`` in
+    system."""
 
     config: ScenarioConfig
     messages: list[Message]
@@ -141,8 +140,7 @@ class Simulation:
     Policies may inspect ``time``, ``messages``, ``collectors``, ``radius``,
     ``config`` and ``next_arrival_time``; all mutation goes through the
     engine. The next arrival is drawn ahead: the arrival stream does not
-    depend on the policy's actions, so no message can arrive earlier.
-    """
+    depend on the policy's actions, so no message can arrive earlier."""
 
     def __init__(self, config: ScenarioConfig, policy: Policy,
                  stop: StopRule | None = None) -> None:
@@ -164,61 +162,18 @@ class Simulation:
             self.divergence_threshold = self.stop.divergence_threshold
         else:
             self.divergence_threshold = 50.0 * max(
-                10.0,
-                config.arrival_rate * config.reception_time
+                10.0, config.arrival_rate * config.reception_time
                 / (1.0 - min(config.load, 0.99)))
         self.next_arrival_time = 0.0
         self._next_arrival_loc: Point | None = None
         self._mean_gap = 1.0 / config.arrival_rate
         self._side = config.side
-        self._heap: list[tuple[float, int, int, int]] = []
-        self._seq = itertools.count()
 
     # -- scheduling helpers
 
     def _schedule_next_arrival(self) -> None:
         self.next_arrival_time += self.rng.exponential(self._mean_gap)
         self._next_arrival_loc = uniform_point(self.rng, self._side)
-
-    def _dispatch(self, collector: CollectorState) -> None:
-        """Carry out step_policy's action; a Wait leaves the collector idle."""
-        action = step_policy(self.policy, self, collector.id)
-        if isinstance(action, TravelTo):
-            leg = action.length
-            if leg is None:
-                leg = distance(collector.position, action.target)
-            collector.phase = "traveling"
-            collector.target = action.target
-            collector.leg = leg
-            collector.leg_start = self.time
-            heappush(self._heap, (self.time + leg / self.config.speed,
-                                  _TRAVEL_DONE, next(self._seq), collector.id))
-        elif isinstance(action, Receive):
-            msg = self.messages[action.message_id]
-            msg.reception_start = self.time
-            msg.collector = collector.id
-            collector.phase = "receiving"
-            heappush(self._heap, (self.time + self.config.reception_time,
-                                  _RECEPTION_DONE, next(self._seq), msg.id))
-
-    # -- event handlers
-
-    def _handle_arrival(self) -> None:
-        msg = Message(id=len(self.messages), arrival_time=self.time,
-                      location=self._next_arrival_loc)
-        self.messages.append(msg)
-        self._schedule_next_arrival()
-        self.policy.on_arrival(self, msg)
-        for c in self.collectors:
-            if c.phase == "idle":
-                self._dispatch(c)
-
-    def _handle_travel_done(self, collector: CollectorState) -> None:
-        self.total_travel_distance += collector.leg
-        collector.position = collector.target
-        collector.target = None
-        collector.phase = "idle"
-        self._dispatch(collector)
 
     def _bill_legs_in_flight(self, end_time: float) -> None:
         """Add the part of each unfinished leg covered by ``end_time``. A leg
@@ -236,11 +191,20 @@ class Simulation:
     # -- main loop
 
     def run(self) -> EventTrace:
-        self.policy.attach(self)
+        """Handle events in time order until the stop rule fires. Each ends
+        with one idle scan: after an arrival over every collector in id order,
+        after a leg or a reception only over its own collector."""
+        policy = self.policy
+        policy.attach(self)
         self._schedule_next_arrival()
-        horizon = self.stop.horizon
-        target = self.stop.max_messages
-        messages, completed, heap = self.messages, self.completed, self._heap
+        # looked up here, not at import, so a patched module attribute holds
+        step, on_arrival = step_policy, policy.on_arrival
+        horizon, target = self.stop.horizon, self.stop.max_messages
+        threshold = self.divergence_threshold
+        speed, reception_time = self.config.speed, self.config.reception_time
+        messages, completed, collectors = (self.messages, self.completed,
+                                           self.collectors)
+        heap, seq = [], itertools.count()
         # the next arrival is drawn ahead and kept outside the heap, so only
         # the stop rule ends the run; heap events at its instant go first
         while True:
@@ -253,31 +217,51 @@ class Simulation:
                 break
             self.time = time
             if ref < 0:
-                self._handle_arrival()
-                if len(messages) - len(completed) > self.divergence_threshold:
-                    self.diverged = True
-                    end_time = time
-                    break
+                msg = Message(len(messages), time, self._next_arrival_loc)
+                messages.append(msg)
+                self._schedule_next_arrival()
+                on_arrival(self, msg)
+                scan = collectors
             elif kind == _TRAVEL_DONE:
-                self._handle_travel_done(self.collectors[ref])
+                c = collectors[ref]
+                self.total_travel_distance += c.leg
+                c.position, c.target, c.phase = c.target, None, "idle"
+                scan = (c,)
             else:
                 msg = messages[ref]
                 msg.departure_time = time
                 completed.append(msg)
-                self.collectors[msg.collector].phase = "idle"
+                c = collectors[msg.collector]
+                c.phase = "idle"
                 if target is not None and len(completed) >= target:
                     end_time = time
                     break
-                self._dispatch(self.collectors[msg.collector])
+                scan = (c,)
+            for c in scan:
+                if c.phase != "idle":
+                    continue
+                action = step(policy, self, c.id)
+                if isinstance(action, TravelTo):
+                    leg = action.length
+                    if leg is None:
+                        leg = distance(c.position, action.target)
+                    c.phase, c.target = "traveling", action.target
+                    c.leg, c.leg_start = leg, time
+                    heappush(heap, (time + leg / speed, _TRAVEL_DONE,
+                                    next(seq), c.id))
+                elif isinstance(action, Receive):
+                    msg = messages[action.message_id]
+                    msg.reception_start, msg.collector = time, c.id
+                    c.phase = "receiving"
+                    heappush(heap, (time + reception_time, _RECEPTION_DONE,
+                                    next(seq), msg.id))
+            if ref < 0 and len(messages) - len(completed) > threshold:
+                self.diverged = True
+                end_time = time
+                break
         self._bill_legs_in_flight(end_time)
-        return EventTrace(
-            config=self.config,
-            messages=self.messages,
-            completed=self.completed,
-            total_travel_distance=self.total_travel_distance,
-            end_time=end_time,
-            diverged=self.diverged,
-        )
+        return EventTrace(self.config, messages, completed,
+                          self.total_travel_distance, end_time, self.diverged)
 
 
 def step_policy(policy: Policy, sim: Simulation, collector_id: int) -> Action:
