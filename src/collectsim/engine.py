@@ -45,6 +45,10 @@ class TravelTo:
     target: Point
     length: float | None = None
 
+    def __init__(self, target: Point, length: float | None = None) -> None:
+        _set_target(self, target)  # through the slots, as core.Point
+        _set_length(self, length)
+
 
 @dataclass(frozen=True, slots=True)
 class Receive:
@@ -52,6 +56,12 @@ class Receive:
 
     message_id: int
 
+    def __init__(self, message_id: int) -> None:
+        _set_message_id(self, message_id)  # as core.Point
+
+
+_set_target, _set_length = TravelTo.target.__set__, TravelTo.length.__set__
+_set_message_id = Receive.message_id.__set__
 
 Action = Wait | TravelTo | Receive
 WAIT = Wait()

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -24,6 +25,11 @@ def test_point_is_frozen():
     p = Point(1.0, 2.0)
     with pytest.raises(AttributeError):
         p.x = 3.0  # type: ignore[misc]
+    # its __init__ sets the slots directly; it stays a frozen dataclass
+    assert Point(x=1.0, y=2.0) == p == pickle.loads(pickle.dumps(p))
+    assert dataclasses.replace(p, y=5.0) == Point(1.0, 5.0)
+    assert hash(p) == hash(Point(1.0, 2.0))
+    assert repr(p) == "Point(x=1.0, y=2.0)"
 
 
 def test_distance_euclidean():

@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+import pickle
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -498,6 +499,19 @@ def test_step_policy_rejects_a_non_action():
 def test_wait_action_singleton():
     assert isinstance(WAIT, Wait)
     assert TravelTo(Point(1.0, 2.0)).target == Point(1.0, 2.0)
+
+
+@pytest.mark.parametrize("action", [
+    TravelTo(Point(1.0, 2.0)), TravelTo(Point(1.0, 2.0), 3.0), Receive(4)])
+def test_actions_are_frozen_values(action):
+    # their __init__ sets the slots directly; they stay frozen dataclasses
+    with pytest.raises(AttributeError):
+        setattr(action, fields(action)[0].name, None)
+    assert action == replace(action)
+    assert hash(action) == hash(pickle.loads(pickle.dumps(action)))
+    assert TravelTo(target=Point(1.0, 2.0), length=None) == TravelTo(
+        Point(1.0, 2.0))
+    assert Receive(message_id=4) == Receive(4)
 
 
 # -- measured load -----------------------------------------------------------------------

@@ -288,6 +288,11 @@ def test_float_distance_is_numpys_hypot():
         dx, dy = rng.uniform(-scale, scale, (2, 20_000))
         assert ([abs(complex(x, y)) for x, y in zip(dx.tolist(), dy.tolist())]
                 == np.hypot(dx, dy).tolist())
+        # and so does the range test's metric
+        origin = Point(0.0, 0.0)
+        assert ([distance(Point(x, y), origin)
+                 for x, y in zip(dx.tolist(), dy.tolist())]
+                == np.hypot(dx, dy).tolist())
 
 
 def _tour_on_path(monkeypatch, path: str, msgs, radius: float,
