@@ -163,7 +163,7 @@ class ExperimentSpec:
         "sweep.snr_db", "", _parse_list(_parse_float),
         "optional SNR sweep (bounds verb only)")
     messages: int = _key("run.messages", "20000", _parse_int,
-                         "completed messages per (policy,load,seed)")
+                         "completed messages per (policy, load, seed)")
     seeds: tuple[int, ...] = _key(
         "run.seeds", "1,2,3", _parse_seeds,
         "comma-separated distinct non-negative seeds")
