@@ -505,13 +505,11 @@ def test_wait_action_singleton():
     TravelTo(Point(1.0, 2.0)), TravelTo(Point(1.0, 2.0), 3.0), Receive(4)])
 def test_actions_are_frozen_values(action):
     # their __init__ sets the slots directly; they stay frozen dataclasses
+    values = {f.name: getattr(action, f.name) for f in fields(action)}
     with pytest.raises(AttributeError):
-        setattr(action, fields(action)[0].name, None)
-    assert action == replace(action)
+        setattr(action, next(iter(values)), None)
+    assert type(action)(**values) == action == replace(action)
     assert hash(action) == hash(pickle.loads(pickle.dumps(action)))
-    assert TravelTo(target=Point(1.0, 2.0), length=None) == TravelTo(
-        Point(1.0, 2.0))
-    assert Receive(message_id=4) == Receive(4)
 
 
 # -- measured load -----------------------------------------------------------------------

@@ -11,8 +11,6 @@ from __future__ import annotations
 import importlib
 from pathlib import Path
 
-import pytest
-
 from collectsim import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -39,8 +37,7 @@ SCENARIOS = {
 }
 
 
-@pytest.mark.parametrize("policy", sorted(SCENARIOS))
-def test_tracer_hooks_fire_on_a_cli_run(tmp_path, monkeypatch, policy):
+def _traced_cli_run(tmp_path, monkeypatch, policy):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spans = importlib.import_module("spans")
     area, speed, collectors = SCENARIOS[policy]
@@ -54,14 +51,28 @@ def test_tracer_hooks_fire_on_a_cli_run(tmp_path, monkeypatch, policy):
     assert code == 0
     steps = tracer.calls("engine.step_policy")
     assert steps == tracer.calls("policies.next_action") > 0
+    assert tracer.counts["action.Receive"] >= 300
+    return tracer
+
+
+def test_tracer_hooks_fire_on_a_cli_run(tmp_path, monkeypatch):
+    tracer = _traced_cli_run(tmp_path, monkeypatch, "grid_partitioning")
+    # the sweep checks no range itself: every range check comes from the
+    # engine's contract check
     receptions = tracer.counts["action.Receive"]
-    assert receptions >= 300
-    if policy == "fcfs":
-        # fcfs tests the range itself before each reception and each leg
-        assert tracer.counts["commmodel.in_range"] > receptions
-    else:
-        # the sweeps check no range themselves: every range check comes
-        # from the engine's contract check
-        assert tracer.counts["commmodel.in_range"] == receptions
-    if policy != "grid_partitioning":
-        assert tracer.counts["action.TravelTo"] > 0
+    assert tracer.counts["commmodel.in_range"] == receptions
+
+
+def test_tracer_hooks_fire_on_fcfs(tmp_path, monkeypatch):
+    tracer = _traced_cli_run(tmp_path, monkeypatch, "fcfs")
+    assert tracer.counts["action.TravelTo"] > 0
+    # fcfs also tests the range itself before each reception and each leg
+    receptions = tracer.counts["action.Receive"]
+    assert tracer.counts["commmodel.in_range"] > receptions
+
+
+def test_tracer_hooks_fire_on_a_fleet(tmp_path, monkeypatch):
+    tracer = _traced_cli_run(tmp_path, monkeypatch, "multi_partitioning")
+    assert tracer.counts["action.TravelTo"] > 0
+    receptions = tracer.counts["action.Receive"]
+    assert tracer.counts["commmodel.in_range"] == receptions
