@@ -81,16 +81,14 @@ def single_collector_lb(config: ScenarioConfig) -> float:
 def partitioning_delay(config: ScenarioConfig) -> float:
     """Mean delay of the single-collector cell-sweep policy, modeled as a
     multiuser M/D/1 queue with one reservation (cell-to-cell travel) per
-    cell per cycle. Exact for the equal-hop sweep; the hop is zero when one
-    cell covers the region and the collector never moves."""
+    cell per cycle. It bills N hops of one cell side, none when one cell
+    covers the region and the collector never moves. Not exact: for odd k the
+    real lap closes with a longer diagonal (``RegionGrid.closing_edge``)."""
     rho = config.arrival_rate * config.reception_time
     if rho >= 1.0:
         return math.inf
     grid = build_grid(config.area, _radius(config))
-    if grid.cells_per_side > 1:
-        hop = math.sqrt(2.0) * grid.effective_radius
-    else:
-        hop = 0.0
+    hop = grid.cell_side if grid.cells_per_side > 1 else 0.0
     travel = (grid.num_cells - rho) * hop / (2.0 * config.speed * (1.0 - rho))
     return (pk_mg1_wait(config.arrival_rate, config.reception_time)
             + travel + config.reception_time)

@@ -11,13 +11,13 @@ import math
 
 from .core import ConfigurationError, Point, distance
 
-# Relative slack applied when testing membership of the reception disk, so a
-# collector standing on a boundary point is in range despite floating-point
-# round-off. Well below any physically meaningful scale. It cannot by itself
-# guarantee that a computed boundary point passes: the slack scales with the
-# radius, but the round-off of the point scales with its coordinates, so a
-# small disk far from the origin can still miss (r = 0.01 at coordinates near
-# 50 misses by about 1e-14). reception_point closes that gap itself.
+# Relative slack of the one in-disk rule, d <= r * (1 + _RANGE_SLACK):
+# in_range tests it, and reception_point leaves a collector that passes it in
+# place. Far below any physical scale, it lets a computed boundary point pass
+# despite round-off, but cannot guarantee it: it scales with the radius, the
+# point's round-off with its coordinates, so a small disk far from the origin
+# can still miss (r = 0.01 at coordinates near 50 misses by about 1e-14).
+# reception_point closes that gap itself.
 _RANGE_SLACK = 1e-12
 
 
@@ -44,15 +44,15 @@ def in_range(collector: Point, message: Point, radius: float) -> bool:
 def reception_point(collector: Point, message: Point, radius: float) -> Point:
     """Nearest point to the collector from which the message is receivable.
 
-    The collector's own position when already in range, otherwise the point
-    on the reception disk boundary along the straight line to the message.
+    The ``collector`` argument itself exactly when ``in_range`` holds, else
+    the point on the reception disk boundary along the line to the message.
     The returned point always passes ``in_range``: where round-off puts the
     boundary point just outside the disk, it is pulled toward the message
     along the same segment, by the least inset (doubling from
     ``radius * _RANGE_SLACK``) that lets it pass, or onto the message itself.
     """
     d = distance(collector, message)
-    if d <= radius:
+    if d <= radius * (1.0 + _RANGE_SLACK):
         return collector
     inset = 0.0
     while inset < radius:

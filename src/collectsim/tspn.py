@@ -5,9 +5,9 @@ point that enters every message's reception disk. Two planners are provided:
 a sweep over the covering grid's nonempty cells (bounded length regardless of
 batch size) and a nearest-disk greedy construction polished by 2-opt, which
 wins when messages are few or clustered. ``plan_tour`` plans the greedy tour
-first and skips the sweep where a bound shows it cannot win. 2-opt rounds
-after the first re-project the stops from the first reversed one on, and the
-cells' visit ranks and centers come from tables cached per grid.
+first and skips the sweep where a bound shows it cannot win. Every 2-opt
+round re-projects the stops from its first reversed one on, and the cells'
+visit ranks and centers come from tables cached per grid.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .commmodel import _RANGE_SLACK, in_range, reception_point
+from .commmodel import _RANGE_SLACK, reception_point
 from .core import Point, RegionGrid, distance
 
 
@@ -114,9 +114,9 @@ def grid_cover_tour(messages: Sequence, grid: RegionGrid,
 # ones on numpy arrays, whose per-call overhead only pays off on longer
 # sweeps: on uniform batches at r = 2.24 the float path is the faster up to 96
 # messages at areas 60 and 800, the array path from 112 at area 800
-# (CHANGES.md). Both return the same stops, and every stop passes in_range
-# for the messages it serves: all three measure with the C library's hypot,
-# which np.hypot calls and so does abs() of a complex (core.distance).
+# (CHANGES.md). Both return the same stops, each where reception_point puts
+# it and serving what in_range accepts there: all measure with the C
+# library's hypot, which np.hypot calls and so does abs() of a complex.
 _FLOAT_GREEDY_MAX = 96
 # Stop lists up to this many stops run the 2-opt pass as a double loop on
 # Python floats, longer ones on numpy arrays: 16 is where the two cost the
@@ -127,10 +127,12 @@ _FLOAT_TWO_OPT_MAX = 16
 # The array pass evaluates its gain matrix in row blocks of at most this many
 # entries, so memory stays bounded at any stop count.
 _TWO_OPT_BLOCK = 1 << 16
+# a planned stop list: each standing point and the ids it serves
+_Stops = list[tuple[Point, list[int]]]
 
 
 def _greedy_stops_float(messages: Sequence, radius: float, start: Point
-                        ) -> tuple[list[tuple[Point, list[int]]], float]:
+                        ) -> tuple[_Stops, list[float], float]:
     slack = radius * (1.0 + _RANGE_SLACK)
     ids = [m.id for m in messages]
     zs = [complex(m.location.x, m.location.y) for m in messages]
@@ -138,28 +140,30 @@ def _greedy_stops_float(messages: Sequence, radius: float, start: Point
     at = complex(here.x, here.y)
     dist = [abs(z - at) for z in zs]
     length = 0.0
-    stops: list[tuple[Point, list[int]]] = []
+    stops: _Stops = []
+    run: list[float] = []
     while ids:
         # the first message of least excess distance max(d - radius, 0), as
         # np.argmin picks it
         cut = max(min(dist) - radius, 0.0)
         k = next(q for q, d in enumerate(dist) if d - radius <= cut)
-        aim = Point(zs[k].real, zs[k].imag)
-        if not in_range(here, aim, radius):
-            here, last = reception_point(here, aim, radius), here
-            length += distance(last, here)
+        point = reception_point(here, Point(zs[k].real, zs[k].imag), radius)
+        if point is not here:
+            length += distance(here, point)
+            here = point
             at = complex(here.x, here.y)
             dist = [abs(z - at) for z in zs]
         served = [q for q, d in enumerate(dist) if d <= slack]
         stops.append((here, [ids[q] for q in served]))
+        run.append(length)
         # served messages leave the lists, the rest keep their order
         for q in reversed(served):
             del ids[q], zs[q], dist[q]
-    return stops, length + distance(here, start)
+    return stops, run, length + distance(here, start)
 
 
 def _greedy_stops_array(messages: Sequence, radius: float, start: Point
-                        ) -> tuple[list[tuple[Point, list[int]]], float]:
+                        ) -> tuple[_Stops, list[float], float]:
     import numpy as np
     ids = [m.id for m in messages]
     xs = np.array([m.location.x for m in messages], dtype=float)
@@ -171,20 +175,22 @@ def _greedy_stops_array(messages: Sequence, radius: float, start: Point
     dist = np.hypot(xs - here.x, ys - here.y)
     left = len(ids)
     length = 0.0
-    stops: list[tuple[Point, list[int]]] = []
+    stops: _Stops = []
+    run: list[float] = []
     while left:
         j = int(np.argmin(np.maximum(dist - radius, 0.0)))
-        aim = Point(float(xs[j]), float(ys[j]))
-        if not in_range(here, aim, radius):
-            here, last = reception_point(here, aim, radius), here
-            length += distance(last, here)
+        point = reception_point(here, Point(xs[j].item(), ys[j].item()), radius)
+        if point is not here:
+            length += distance(here, point)
+            here = point
             dist = np.hypot(xs - here.x, ys - here.y)
         served = np.flatnonzero(dist <= slack)
         xs[served] = np.inf
         dist[served] = np.inf
         left -= len(served)
         stops.append((here, [ids[i] for i in served]))
-    return stops, length + distance(here, start)
+        run.append(length)
+    return stops, run, length + distance(here, start)
 
 
 def _two_opt_move(points: list[Point],
@@ -252,9 +258,8 @@ def _two_opt_move_array(points: list[Point],
     return best_move
 
 
-def _reproject(stops: list[tuple[Point, list[int]]], radius: float,
-               start: Point, locate, first: int, run: list[float]
-               ) -> tuple[list[tuple[Point, list[int]]], list[float], float]:
+def _reproject(stops: _Stops, radius: float, start: Point, locate, first: int,
+               run: list[float]) -> tuple[_Stops, list[float], float]:
     """Pull single-message stops from index ``first`` on toward the previous
     stop (batched stops keep their point, so the batch stays covered); the
     stops before it and their running lengths ``run`` are kept. Returns the
@@ -282,20 +287,17 @@ def nn_tspn_tour(messages: Sequence, radius: float, start: Point) -> Tour:
         return Tour((), 0.0, start, "tspn")
     by_id = {m.id: m.location for m in messages}
     if len(messages) <= _FLOAT_GREEDY_MAX:
-        best, best_len = _greedy_stops_float(messages, radius, start)
+        best, run, best_len = _greedy_stops_float(messages, radius, start)
     else:
-        best, best_len = _greedy_stops_array(messages, radius, start)
-    run: list[float] = []  # running lengths of best once re-projected
+        best, run, best_len = _greedy_stops_array(messages, radius, start)
     for _ in range(8):
         move = _two_opt_move([p for p, _ in best], start)
         if move is None:
             break
         i, j = move
-        # a re-projected tour is a fixed point before the first reversed
-        # stop; a raw greedy stop in the in_range slack band is not
         candidate, cand_run, cand_len = _reproject(
             best[:i - 1] + best[i - 1:j][::-1] + best[j:], radius, start,
-            by_id.__getitem__, i - 1 if run else 0, run)
+            by_id.__getitem__, i - 1, run)
         if cand_len < best_len - 1e-12:
             best, run, best_len = candidate, cand_run, cand_len
         else:

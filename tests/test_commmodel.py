@@ -65,6 +65,12 @@ def test_reception_point_inside_disk_is_identity():
     assert reception_point(collector, msg, 2.0) == collector
     # exactly on the boundary counts as inside
     assert reception_point(Point(5.0, 4.0), msg, 2.0) == Point(5.0, 4.0)
+    # so does the slack band that in_range accepts: the collector is not moved
+    r = 2.2373941648
+    origin, band = Point(0.0, 0.0), Point(r * (1 + 1e-13), 0.0)
+    assert in_range(origin, band, r)
+    assert reception_point(origin, band, r) is origin
+    assert reception_point(origin, Point(1 + 1e-13, 0.0), 1.0) is origin
 
 
 def test_reception_point_moves_to_boundary_along_the_segment():
@@ -83,12 +89,15 @@ def test_reception_point_moves_to_boundary_along_the_segment():
 # about 1e-14 outside the disk, more than the radius-relative slack allows
 @example(cx=0, cy=49, mx=50, my=0.25, radius=0.01)
 @example(cx=0, cy=49, mx=1, my=-23, radius=0.01)
+# inside in_range's slack band, outside the bare radius
+@example(cx=0, cy=0, mx=1 + 1e-13, my=0, radius=1.0)
 def test_reception_point_geometry(cx, cy, mx, my, radius):
     collector, msg = Point(cx, cy), Point(mx, my)
     p = reception_point(collector, msg, radius)
     d = distance(collector, msg)
-    if d <= radius:
-        assert p == collector
+    if in_range(collector, msg, radius):
+        # one in-disk rule: a collector in range stays where it is
+        assert p is collector
     else:
         # lands on the disk boundary...
         assert distance(p, msg) == pytest.approx(radius, rel=1e-9)

@@ -29,11 +29,12 @@ run.seeds = 1
 
 # policy -> (area, speed, collectors). The cell sweep on the small region is
 # a pure reception queue; fcfs drives to each message; the four-collector
-# fleet sweeps a 2 x 2 grid per subregion
+# fleet sweeps a 2 x 2 grid per subregion; tspn_cyclic plans a tour per batch
 SCENARIOS = {
     "grid_partitioning": (4, 1, 1),
     "fcfs": (60, 10, 1),
     "multi_partitioning": (64, 10, 4),
+    "tspn_cyclic": (60, 10, 1),
 }
 
 
@@ -76,3 +77,13 @@ def test_tracer_hooks_fire_on_a_fleet(tmp_path, monkeypatch):
     assert tracer.counts["action.TravelTo"] > 0
     receptions = tracer.counts["action.Receive"]
     assert tracer.counts["commmodel.in_range"] == receptions
+
+
+def test_tracer_hooks_fire_on_tspn_cyclic(tmp_path, monkeypatch):
+    tracer = _traced_cli_run(tmp_path, monkeypatch, "tspn_cyclic")
+    # every plan builds a greedy tour, whose stops come from reception_point
+    plans = tracer.calls("tspn.plan_tour")
+    assert plans == tracer.calls("tspn.nn_tspn_tour") > 0
+    assert tracer.counts["commmodel.reception_point"] > 0
+    spans = importlib.import_module("spans")
+    assert spans.tour_failures(tracer) == []

@@ -432,9 +432,9 @@ def _full_reproject_tour(msgs, radius: float, start: Point) -> Tour:
     re-projection and the carried lengths."""
     locate = {m.id: m.location for m in msgs}.__getitem__
     if len(msgs) <= tspn._FLOAT_GREEDY_MAX:
-        best, _ = tspn._greedy_stops_float(msgs, radius, start)
+        best, _, _ = tspn._greedy_stops_float(msgs, radius, start)
     else:
-        best, _ = tspn._greedy_stops_array(msgs, radius, start)
+        best, _, _ = tspn._greedy_stops_array(msgs, radius, start)
     best_len = _closed_length([p for p, _ in best], start)
     for _ in range(8):
         move = tspn._two_opt_move([p for p, _ in best], start)
@@ -456,6 +456,33 @@ def _full_reproject_tour(msgs, radius: float, start: Point) -> Tour:
             break
     stops = tuple(TourStop(p, tuple(mids)) for p, mids in best)
     return Tour(stops, best_len, start, "tspn")
+
+
+def _bits(planned) -> tuple:
+    """Stops, running lengths and closed length, floats as their exact bits."""
+    stops, run, length = planned
+    return ([(float(p.x).hex(), float(p.y).hex(), list(mids))
+             for p, mids in stops], [v.hex() for v in run], length.hex())
+
+
+def _assert_fixed_point(planned, msgs, radius: float, start: Point) -> None:
+    """Re-projecting the whole greedy tour returns it bit for bit: its stops,
+    running lengths and closed length."""
+    locate = {m.id: m.location for m in msgs}.__getitem__
+    again = tspn._reproject(planned[0], radius, start, locate, 0, [])
+    assert _bits(again) == _bits(planned)
+
+
+@pytest.mark.parametrize("greedy", [tspn._greedy_stops_float,
+                                    tspn._greedy_stops_array])
+def test_greedy_tour_is_a_fixed_point_of_reprojection(greedy):
+    # the first message lies in in_range's slack band around the start: the
+    # greedy serves it from the start, and re-projection must not move it
+    start = Point(0.0, 0.0)
+    msgs = _messages([(1 + 1e-13, 0.0), (5.0, 3.0), (-4.0, 6.0), (7.0, -2.0)])
+    planned = greedy(msgs, 1.0, start)
+    assert planned[0][0] == (start, [0])
+    _assert_fixed_point(planned, msgs, 1.0, start)
 
 
 def _clustered_messages(rng, n: int, side: float,
@@ -495,11 +522,14 @@ def test_resumed_reprojection_matches_the_full_one(monkeypatch, radius):
             else:
                 msgs = _random_messages(rng, n, side)
             start = uniform_point(rng, side)
-            # both greedy paths carry the length that summing anew gives
+            # both greedy paths carry the length that summing anew gives,
+            # and re-projection leaves their tours as they are
             for greedy in (tspn._greedy_stops_float, tspn._greedy_stops_array):
-                stops, length = greedy(msgs, radius, start)
+                planned = greedy(msgs, radius, start)
+                stops, _, length = planned
                 assert length.hex() == _closed_length([p for p, _ in stops],
                                                       start).hex()
+                _assert_fixed_point(planned, msgs, radius, start)
             tour = nn_tspn_tour(msgs, radius, start)
             want = _full_reproject_tour(msgs, radius, start)
             assert tour == want, (clustered, n)
