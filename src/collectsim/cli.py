@@ -255,14 +255,16 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 def dump_messages(trace: EventTrace, path: str | Path) -> Path:
-    """Write one row per completed message, sorted by departure time."""
+    """Write one row per completed message, in completion order, which is
+    departure-time order: the engine completes messages as it pops their
+    reception ends off a time-ordered heap."""
     path = Path(path)
     travel, service = (w.tolist() for w in wait_split(trace)[:2])
     lines = [",".join(MESSAGE_COLUMNS)]
-    for m in sorted(trace.completed, key=lambda m: m.departure_time):
+    for m in trace.completed:
         lines.append(",".join((
-            str(m.id), _fmt(m.arrival_time, 12), _fmt(m.location.x, 12),
-            _fmt(m.location.y, 12), _fmt(m.reception_start, 12),
+            str(m.id), _fmt(m.arrival_time, 12), _fmt(m.location.real, 12),
+            _fmt(m.location.imag, 12), _fmt(m.reception_start, 12),
             _fmt(m.departure_time, 12), _fmt(travel[m.id], 12),
             _fmt(service[m.id], 12))))
     atomic_write_text(path, "\n".join(lines) + "\n")

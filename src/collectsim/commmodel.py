@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .core import ConfigurationError, Point, distance
+from .core import ConfigurationError, distance
 
 # Relative slack of the one in-disk rule, d <= r * (1 + _RANGE_SLACK):
 # in_range tests it, and reception_point leaves a collector that passes it in
@@ -36,12 +36,13 @@ def reception_radius(snr_ref: float, snr_threshold: float,
     return (snr_ref / snr_threshold) ** (1.0 / path_loss)
 
 
-def in_range(collector: Point, message: Point, radius: float) -> bool:
+def in_range(collector: complex, message: complex, radius: float) -> bool:
     """True when the collector can receive a message at this distance."""
     return distance(collector, message) <= radius * (1.0 + _RANGE_SLACK)
 
 
-def reception_point(collector: Point, message: Point, radius: float) -> Point:
+def reception_point(collector: complex, message: complex,
+                    radius: float) -> complex:
     """Nearest point to the collector from which the message is receivable.
 
     The ``collector`` argument itself exactly when ``in_range`` holds, else
@@ -57,8 +58,7 @@ def reception_point(collector: Point, message: Point, radius: float) -> Point:
     inset = 0.0
     while inset < radius:
         f = (d - radius + inset) / d
-        p = Point(collector.x + f * (message.x - collector.x),
-                  collector.y + f * (message.y - collector.y))
+        p = collector + f * (message - collector)
         if in_range(p, message, radius):
             return p
         # ulp keeps the inset growing where radius * _RANGE_SLACK underflows

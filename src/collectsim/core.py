@@ -2,6 +2,10 @@
 
 Everything here is plain data: scenario parameters, message records, planar
 points and the square service grid a collector sweeps. No simulation state.
+
+A point of the plane is a Python ``complex``, x + yj: its coordinates are
+``.real`` and ``.imag``, and the distance between two points is ``abs`` of
+their difference.
 """
 
 from __future__ import annotations
@@ -22,38 +26,20 @@ class ContractViolation(RuntimeError):
 # geometry primitives
 
 
-@dataclass(frozen=True, slots=True)
-class Point:
-    x: float
-    y: float
-
-    # set through the slots: a frozen dataclass's own __init__ calls the
-    # slower object.__setattr__, and points are made once or more per event
-    def __init__(self, x: float, y: float) -> None:
-        _set_x(self, x)
-        _set_y(self, y)
+def distance(a: complex, b: complex) -> float:
+    """Euclidean distance, ``abs(a - b)``: the C library's hypot, which the
+    array planners call as ``np.hypot`` (``math.hypot`` differs in the last
+    bit on 0.6% of inputs)."""
+    return abs(a - b)
 
 
-_set_x, _set_y = Point.x.__set__, Point.y.__set__
-
-
-def distance(a: Point, b: Point) -> float:
-    """Euclidean distance by the C library's hypot, as the planners measure
-    (``abs`` of a complex, ``np.hypot``; ``math.hypot`` differs in the last
-    bit on 0.6% of inputs). The complex is built by arithmetic, faster than
-    ``complex()``, with the same ``abs``."""
-    return abs(a.x - b.x + (a.y - b.y) * 1j)
-
-
-def uniform_point(rng, side: float) -> Point:
+def uniform_point(rng, side: float) -> complex:
     """Draw a uniform random point on the square [0, side]^2.
 
     Draw order is fixed (x first, then y) so traces are reproducible for a
     given generator state.
     """
-    x = side * rng.random()
-    y = side * rng.random()
-    return Point(x, y)
+    return complex(side * rng.random(), side * rng.random())
 
 
 # --------------------------------------------------------------------------
@@ -109,8 +95,8 @@ class ScenarioConfig:
         return math.sqrt(self.area)
 
     @property
-    def center(self) -> Point:
-        return Point(self.side / 2.0, self.side / 2.0)
+    def center(self) -> complex:
+        return complex(self.side / 2.0, self.side / 2.0)
 
     @property
     def load(self) -> float:
@@ -144,7 +130,7 @@ class Message:
 
     id: int
     arrival_time: float
-    location: Point
+    location: complex
     reception_start: float | None = None
     departure_time: float | None = None
     collector: int | None = None
@@ -164,12 +150,11 @@ class RegionGrid:
     serpentines columns 1..k-1 upward and comes back down column 0, a
     Hamiltonian cycle. For odd k no such cycle exists (odd cell count on a
     bipartite graph), so it walks concentric rings inward and closes with the
-    diagonal from the central cell back to the corner. ``effective_radius``
-    is the largest distance from a cell center to any point of its cell,
-    cell_side / sqrt(2).
+    diagonal from the central cell back to the corner. Every point of a cell
+    lies within the half-diagonal, ``cell_side / sqrt(2)``, of its center.
     """
 
-    origin: Point
+    origin: complex
     side: float
     cells_per_side: int
 
@@ -182,13 +167,9 @@ class RegionGrid:
         return self.cells_per_side ** 2
 
     @property
-    def effective_radius(self) -> float:
-        return self.cell_side / math.sqrt(2.0)
-
-    @property
-    def center(self) -> Point:
-        return Point(self.origin.x + self.side / 2.0,
-                     self.origin.y + self.side / 2.0)
+    def center(self) -> complex:
+        return complex(self.origin.real + self.side / 2.0,
+                       self.origin.imag + self.side / 2.0)
 
     @property
     def closing_edge(self) -> float:
@@ -200,7 +181,7 @@ class RegionGrid:
             return self.cell_side
         return (k // 2) * math.sqrt(2.0) * self.cell_side
 
-    def cell_of(self, p: Point) -> int:
+    def cell_of(self, p: complex) -> int:
         """Row-major number of the cell containing ``p``.
 
         Points on a shared cell edge go to the higher-numbered row/column;
@@ -208,21 +189,22 @@ class RegionGrid:
         """
         k = self.cells_per_side
         cell_side = self.side / k
-        col = int((p.x - self.origin.x) / cell_side)
-        row = int((p.y - self.origin.y) / cell_side)
+        col = int((p.real - self.origin.real) / cell_side)
+        row = int((p.imag - self.origin.imag) / cell_side)
         # clamped by comparisons, cheaper than min/max once per arrival
         col = 0 if col < 0 else k - 1 if col >= k else col
         row = 0 if row < 0 else k - 1 if row >= k else row
         return col + k * row
 
-    def cell_center(self, cell: int) -> Point:
-        """Center of a cell, within ``effective_radius`` of all of it."""
+    def cell_center(self, cell: int) -> complex:
+        """Center of a cell, within the half-diagonal, ``cell_side /
+        sqrt(2)``, of all of it."""
         k = self.cells_per_side
         row, col = divmod(cell, k)
         cell_side = self.side / k
         half = cell_side / 2.0
-        return Point(self.origin.x + col * cell_side + half,
-                     self.origin.y + row * cell_side + half)
+        return complex(self.origin.real + col * cell_side + half,
+                       self.origin.imag + row * cell_side + half)
 
     def visit_rank(self, cell: int) -> int:
         """Position of a cell in the visit order."""
@@ -259,8 +241,7 @@ class RegionGrid:
         return order
 
 
-def build_grid(area: float, radius: float,
-               origin: Point = Point(0.0, 0.0)) -> RegionGrid:
+def build_grid(area: float, radius: float, origin: complex = 0j) -> RegionGrid:
     """Partition a square of the given area into the coarsest k x k grid
     whose cells are fully covered from their centers by ``radius``.
 

@@ -17,7 +17,7 @@ from heapq import heappop, heappush
 from typing import Protocol
 
 from .commmodel import in_range, reception_radius
-from .core import (ConfigurationError, ContractViolation, Message, Point,
+from .core import (ConfigurationError, ContractViolation, Message,
                    ScenarioConfig, distance, uniform_point)
 
 # heap events are (time, kind, seq, ref): ref is the collector of a travel
@@ -42,11 +42,13 @@ class TravelTo:
     taken, at least the straight-line distance; by default the collector
     drives the straight line."""
 
-    target: Point
+    target: complex
     length: float | None = None
 
-    def __init__(self, target: Point, length: float | None = None) -> None:
-        _set_target(self, target)  # through the slots, as core.Point
+    # set through the slots: a frozen dataclass's own __init__ calls the
+    # slower object.__setattr__, and at least one action is made per event
+    def __init__(self, target: complex, length: float | None = None) -> None:
+        _set_target(self, target)
         _set_length(self, length)
 
 
@@ -57,7 +59,7 @@ class Receive:
     message_id: int
 
     def __init__(self, message_id: int) -> None:
-        _set_message_id(self, message_id)  # as core.Point
+        _set_message_id(self, message_id)  # through the slot, as TravelTo
 
 
 _set_target, _set_length = TravelTo.target.__set__, TravelTo.length.__set__
@@ -86,9 +88,9 @@ class CollectorState:
     travel leg; what it receives is recorded on the messages."""
 
     id: int
-    position: Point
+    position: complex
     phase: str = "idle"  # idle | traveling | receiving
-    target: Point | None = None
+    target: complex | None = None
     leg: float = 0.0
     leg_start: float = 0.0
 
@@ -175,7 +177,7 @@ class Simulation:
                 10.0, config.arrival_rate * config.reception_time
                 / (1.0 - min(config.load, 0.99)))
         self.next_arrival_time = 0.0
-        self._next_arrival_loc: Point | None = None
+        self._next_arrival_loc: complex | None = None
         self._mean_gap = 1.0 / config.arrival_rate
         self._side = config.side
 

@@ -13,7 +13,7 @@ from collections import deque
 from enum import Enum
 
 from .commmodel import in_range, reception_point
-from .core import (ConfigurationError, Message, Point, RegionGrid,
+from .core import (ConfigurationError, Message, RegionGrid,
                    ScenarioConfig, build_grid, distance, fleet_side)
 from .engine import Action, Receive, Simulation, TravelTo, WAIT
 from .tspn import plan_tour
@@ -126,7 +126,7 @@ class GridPartitioning:
 
     name = "grid_partitioning"
 
-    def __init__(self, collector_id: int = 0, origin: Point = Point(0.0, 0.0),
+    def __init__(self, collector_id: int = 0, origin: complex = 0j,
                  area: float | None = None) -> None:
         self.collector_id = collector_id
         self.origin = origin
@@ -190,12 +190,12 @@ class MultiPartitioning:
     def attach(self, sim: Simulation) -> None:
         j = fleet_side(sim.config.collectors)
         # subregions are the cells of a j x j grid, numbered row-major
-        self.fleet = RegionGrid(Point(0.0, 0.0), sim.config.side, j)
+        self.fleet = RegionGrid(0j, sim.config.side, j)
         sub_side = self.fleet.cell_side
         self.inners: list[GridPartitioning] = []
         for i in range(self.fleet.num_cells):
             row, col = divmod(i, j)
-            inner = GridPartitioning(i, Point(col * sub_side, row * sub_side),
+            inner = GridPartitioning(i, complex(col * sub_side, row * sub_side),
                                      sub_side ** 2)
             inner.attach(sim)
             self.inners.append(inner)

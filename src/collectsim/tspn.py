@@ -18,14 +18,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .commmodel import _RANGE_SLACK, reception_point
-from .core import Point, RegionGrid, distance
+from .core import RegionGrid, distance
 
 
 @dataclass(frozen=True, slots=True)
 class TourStop:
     """One standing point and the messages received from it."""
 
-    point: Point
+    point: complex
     message_ids: tuple[int, ...]
 
 
@@ -35,7 +35,7 @@ class Tour:
 
     stops: tuple[TourStop, ...]
     total_length: float
-    start: Point
+    start: complex
     method: str
 
     @property
@@ -74,7 +74,7 @@ def _cycle_tables(grid: RegionGrid) -> tuple[tuple, tuple]:
 
 
 def grid_cover_tour(messages: Sequence, grid: RegionGrid,
-                    start: Point) -> Tour:
+                    start: complex) -> Tour:
     """Visit the centers of the grid cells that hold messages, in grid cycle
     order, entering the cycle at the rotation that minimizes total length.
 
@@ -110,16 +110,16 @@ def grid_cover_tour(messages: Sequence, grid: RegionGrid,
 # nearest-disk greedy + 2-opt planner
 
 
-# Batches up to this many messages run the greedy on Python floats, larger
-# ones on numpy arrays, whose per-call overhead only pays off on longer
-# sweeps: on uniform batches at r = 2.24 the float path is the faster up to 96
-# messages at areas 60 and 800, the array path from 112 at area 800
-# (CHANGES.md). Both return the same stops, each where reception_point puts
-# it and serving what in_range accepts there: all measure with the C
-# library's hypot, which np.hypot calls and so does abs() of a complex.
+# Batches up to this many messages run the greedy on the points themselves,
+# larger ones on numpy coordinate arrays, whose per-call overhead only pays
+# off on longer sweeps: on uniform batches at r = 2.24 the float path is the
+# faster up to 96 messages at areas 60 and 800, the array path from 112 at
+# area 800 (CHANGES.md). Both return the same stops, each where
+# reception_point puts it and serving what in_range accepts there: all measure
+# with the C library's hypot, which abs() of a complex calls and np.hypot too.
 _FLOAT_GREEDY_MAX = 96
-# Stop lists up to this many stops run the 2-opt pass as a double loop on
-# Python floats, longer ones on numpy arrays: 16 is where the two cost the
+# Stop lists up to this many stops run the 2-opt pass as a double loop over
+# the points, longer ones on numpy arrays: 16 is where the two cost the
 # same per call, about 50 us on a 2-vCPU Xeon (3 against 22 us at 3 stops).
 # Both take the same move, since both measure with the C library's hypot
 # (see above).
@@ -128,17 +128,16 @@ _FLOAT_TWO_OPT_MAX = 16
 # entries, so memory stays bounded at any stop count.
 _TWO_OPT_BLOCK = 1 << 16
 # a planned stop list: each standing point and the ids it serves
-_Stops = list[tuple[Point, list[int]]]
+_Stops = list[tuple[complex, list[int]]]
 
 
-def _greedy_stops_float(messages: Sequence, radius: float, start: Point
+def _greedy_stops_float(messages: Sequence, radius: float, start: complex
                         ) -> tuple[_Stops, list[float], float]:
     slack = radius * (1.0 + _RANGE_SLACK)
     ids = [m.id for m in messages]
-    zs = [complex(m.location.x, m.location.y) for m in messages]
-    here = Point(float(start.x), float(start.y))
-    at = complex(here.x, here.y)
-    dist = [abs(z - at) for z in zs]
+    zs = [m.location for m in messages]
+    here = start
+    dist = [abs(z - here) for z in zs]
     length = 0.0
     stops: _Stops = []
     run: list[float] = []
@@ -147,12 +146,11 @@ def _greedy_stops_float(messages: Sequence, radius: float, start: Point
         # np.argmin picks it
         cut = max(min(dist) - radius, 0.0)
         k = next(q for q, d in enumerate(dist) if d - radius <= cut)
-        point = reception_point(here, Point(zs[k].real, zs[k].imag), radius)
+        point = reception_point(here, zs[k], radius)
         if point is not here:
             length += distance(here, point)
             here = point
-            at = complex(here.x, here.y)
-            dist = [abs(z - at) for z in zs]
+            dist = [abs(z - here) for z in zs]
         served = [q for q, d in enumerate(dist) if d <= slack]
         stops.append((here, [ids[q] for q in served]))
         run.append(length)
@@ -162,28 +160,29 @@ def _greedy_stops_float(messages: Sequence, radius: float, start: Point
     return stops, run, length + distance(here, start)
 
 
-def _greedy_stops_array(messages: Sequence, radius: float, start: Point
+def _greedy_stops_array(messages: Sequence, radius: float, start: complex
                         ) -> tuple[_Stops, list[float], float]:
     import numpy as np
     ids = [m.id for m in messages]
-    xs = np.array([m.location.x for m in messages], dtype=float)
-    ys = np.array([m.location.y for m in messages], dtype=float)
+    aims = [m.location for m in messages]
+    xs = np.array([z.real for z in aims], dtype=float)
+    ys = np.array([z.imag for z in aims], dtype=float)
     slack = radius * (1.0 + _RANGE_SLACK)
-    here = Point(float(start.x), float(start.y))
+    here = start
     # served messages move to x = inf, so every later sweep puts them out of
     # reach; one sweep per stop that moves serves its hits and the next argmin
-    dist = np.hypot(xs - here.x, ys - here.y)
+    dist = np.hypot(xs - here.real, ys - here.imag)
     left = len(ids)
     length = 0.0
     stops: _Stops = []
     run: list[float] = []
     while left:
         j = int(np.argmin(np.maximum(dist - radius, 0.0)))
-        point = reception_point(here, Point(xs[j].item(), ys[j].item()), radius)
+        point = reception_point(here, aims[j], radius)
         if point is not here:
             length += distance(here, point)
             here = point
-            dist = np.hypot(xs - here.x, ys - here.y)
+            dist = np.hypot(xs - here.real, ys - here.imag)
         served = np.flatnonzero(dist <= slack)
         xs[served] = np.inf
         dist[served] = np.inf
@@ -193,8 +192,8 @@ def _greedy_stops_array(messages: Sequence, radius: float, start: Point
     return stops, run, length + distance(here, start)
 
 
-def _two_opt_move(points: list[Point],
-                  start: Point) -> tuple[int, int] | None:
+def _two_opt_move(points: list[complex],
+                  start: complex) -> tuple[int, int] | None:
     """One best-improvement 2-opt move (i, j) on the stop order: reverse
     stops i..j. None below 3 stops or if no move improves.
 
@@ -203,7 +202,7 @@ def _two_opt_move(points: list[Point],
     (|P[i-1] P[i]| + |P[j] P[j+1]|) - |P[i-1] P[j]| - |P[i] P[j+1]|, summed
     in that order. The move taken is the first of the largest gain in
     row-major (i, j) order, and only a gain above 1e-9 counts. Lists of at
-    most _FLOAT_TWO_OPT_MAX stops are scored on Python floats, longer ones on
+    most _FLOAT_TWO_OPT_MAX stops are scored point by point, longer ones on
     numpy arrays; both take the same move.
     """
     n = len(points)
@@ -214,11 +213,10 @@ def _two_opt_move(points: list[Point],
     return _two_opt_move_array(points, start)
 
 
-def _two_opt_move_float(points: list[Point],
-                        start: Point) -> tuple[int, int] | None:
+def _two_opt_move_float(points: list[complex],
+                        start: complex) -> tuple[int, int] | None:
     n = len(points)
-    s = complex(start.x, start.y)
-    P = [s, *(complex(p.x, p.y) for p in points), s]
+    P = [start, *points, start]
     edge = [abs(b - a) for a, b in zip(P, P[1:])]  # edge[i] = |P[i] P[i+1]|
     best_gain, best_move = 1e-9, None
     for i in range(1, n):
@@ -230,12 +228,12 @@ def _two_opt_move_float(points: list[Point],
     return best_move
 
 
-def _two_opt_move_array(points: list[Point],
-                        start: Point) -> tuple[int, int] | None:
+def _two_opt_move_array(points: list[complex],
+                        start: complex) -> tuple[int, int] | None:
     import numpy as np
     n = len(points)
-    xs = np.array([start.x, *(p.x for p in points), start.x], dtype=float)
-    ys = np.array([start.y, *(p.y for p in points), start.y], dtype=float)
+    xs = np.array([start.real, *(p.real for p in points), start.real])
+    ys = np.array([start.imag, *(p.imag for p in points), start.imag])
     edge = np.hypot(np.diff(xs), np.diff(ys))  # edge[i] = |P[i] P[i+1]|
     rows = max(1, _TWO_OPT_BLOCK // n)
     best_gain, best_move = 1e-9, None
@@ -258,8 +256,9 @@ def _two_opt_move_array(points: list[Point],
     return best_move
 
 
-def _reproject(stops: _Stops, radius: float, start: Point, locate, first: int,
-               run: list[float]) -> tuple[_Stops, list[float], float]:
+def _reproject(stops: _Stops, radius: float, start: complex, locate,
+               first: int, run: list[float]
+               ) -> tuple[_Stops, list[float], float]:
     """Pull single-message stops from index ``first`` on toward the previous
     stop (batched stops keep their point, so the batch stays covered); the
     stops before it and their running lengths ``run`` are kept. Returns the
@@ -276,7 +275,7 @@ def _reproject(stops: _Stops, radius: float, start: Point, locate, first: int,
     return out, run, total + distance(prev, start)
 
 
-def nn_tspn_tour(messages: Sequence, radius: float, start: Point) -> Tour:
+def nn_tspn_tour(messages: Sequence, radius: float, start: complex) -> Tour:
     """Greedy nearest-disk tour through all message reception disks,
     improved by 2-opt reordering with boundary-point re-projection.
 
@@ -307,7 +306,7 @@ def nn_tspn_tour(messages: Sequence, radius: float, start: Point) -> Tour:
 
 
 def plan_tour(messages: Sequence, grid: RegionGrid, radius: float,
-              start: Point | None = None) -> Tour:
+              start: complex | None = None) -> Tour:
     """Plan the shorter of the grid sweep and the greedy disk tour, the sweep
     on ties. The sweep is at least twice as long as its farthest cell center
     is from the start, and is not planned where the greedy tour is shorter."""

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collectsim.commmodel import in_range, reception_point, reception_radius
-from collectsim.core import ConfigurationError, Point, ScenarioConfig, distance
+from collectsim.core import ConfigurationError, ScenarioConfig, distance
 from collectsim.engine import Simulation
 from collectsim.policies import make_policy
 
@@ -50,49 +50,50 @@ def test_reception_radius_rejects_nonpositive(ref, thr, alpha):
 
 def test_in_range_boundary_has_slack():
     r = 2.2373941648
-    origin = Point(0.0, 0.0)
-    assert in_range(origin, Point(r, 0.0), r)
+    origin = complex(0.0, 0.0)
+    assert in_range(origin, complex(r, 0.0), r)
     # a point produced by reception_point may overshoot by round-off; the
     # membership test must still accept it
-    assert in_range(origin, Point(r * (1 + 1e-13), 0.0), r)
-    assert not in_range(origin, Point(r * (1 + 1e-9), 0.0), r)
+    assert in_range(origin, complex(r * (1 + 1e-13), 0.0), r)
+    assert not in_range(origin, complex(r * (1 + 1e-9), 0.0), r)
     assert in_range(origin, origin, r)
 
 
 def test_reception_point_inside_disk_is_identity():
-    msg = Point(3.0, 4.0)
-    collector = Point(3.5, 4.5)
+    msg = complex(3.0, 4.0)
+    collector = complex(3.5, 4.5)
     assert reception_point(collector, msg, 2.0) == collector
     # exactly on the boundary counts as inside
-    assert reception_point(Point(5.0, 4.0), msg, 2.0) == Point(5.0, 4.0)
+    assert reception_point(complex(5.0, 4.0), msg, 2.0) == complex(5.0, 4.0)
     # so does the slack band that in_range accepts: the collector is not moved
     r = 2.2373941648
-    origin, band = Point(0.0, 0.0), Point(r * (1 + 1e-13), 0.0)
+    origin, band = complex(0.0, 0.0), complex(r * (1 + 1e-13), 0.0)
     assert in_range(origin, band, r)
     assert reception_point(origin, band, r) is origin
-    assert reception_point(origin, Point(1 + 1e-13, 0.0), 1.0) is origin
+    assert reception_point(origin, complex(1 + 1e-13, 0.0), 1.0) is origin
 
 
 def test_reception_point_moves_to_boundary_along_the_segment():
-    msg = Point(10.0, 0.0)
-    collector = Point(0.0, 0.0)
+    msg = complex(10.0, 0.0)
+    collector = complex(0.0, 0.0)
     p = reception_point(collector, msg, 3.0)
-    assert p == Point(7.0, 0.0)
+    assert p == complex(7.0, 0.0)
     assert distance(p, msg) == pytest.approx(3.0)
 
 
+_POINTS = st.builds(complex, st.floats(-50, 50), st.floats(-50, 50))
+
+
 @settings(deadline=None, max_examples=100)
-@given(cx=st.floats(-50, 50), cy=st.floats(-50, 50),
-       mx=st.floats(-50, 50), my=st.floats(-50, 50),
+@given(collector=_POINTS, msg=_POINTS,
        radius=st.floats(min_value=0.01, max_value=10.0))
 # small disks far from the origin, where the plain boundary formula lands
 # about 1e-14 outside the disk, more than the radius-relative slack allows
-@example(cx=0, cy=49, mx=50, my=0.25, radius=0.01)
-@example(cx=0, cy=49, mx=1, my=-23, radius=0.01)
+@example(collector=49j, msg=complex(50, 0.25), radius=0.01)
+@example(collector=49j, msg=complex(1, -23), radius=0.01)
 # inside in_range's slack band, outside the bare radius
-@example(cx=0, cy=0, mx=1 + 1e-13, my=0, radius=1.0)
-def test_reception_point_geometry(cx, cy, mx, my, radius):
-    collector, msg = Point(cx, cy), Point(mx, my)
+@example(collector=0j, msg=complex(1 + 1e-13, 0), radius=1.0)
+def test_reception_point_geometry(collector, msg, radius):
     p = reception_point(collector, msg, radius)
     d = distance(collector, msg)
     if in_range(collector, msg, radius):
@@ -110,8 +111,8 @@ def test_reception_point_geometry(cx, cy, mx, my, radius):
 def test_reception_point_never_travels_more_than_direct():
     rng = np.random.default_rng(3)
     for _ in range(200):
-        c = Point(*rng.uniform(0, 20, 2))
-        m = Point(*rng.uniform(0, 20, 2))
+        c = complex(*rng.uniform(0, 20, 2))
+        m = complex(*rng.uniform(0, 20, 2))
         p = reception_point(c, m, 1.5)
         assert distance(c, p) <= distance(c, m) + 1e-12
 

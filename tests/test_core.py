@@ -3,16 +3,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collectsim.core import (ConfigurationError, Point, RegionGrid,
-                             ScenarioConfig, build_grid, distance,
-                             uniform_point)
+from collectsim.core import (ConfigurationError, RegionGrid, ScenarioConfig,
+                             build_grid, distance, uniform_point)
 
 R_17DB = (10.0 ** 1.7 / 2.0) ** 0.25
 R_20DB = (10.0 ** 2.0 / 2.0) ** 0.25
@@ -21,28 +19,17 @@ R_20DB = (10.0 ** 2.0 / 2.0) ** 0.25
 # -- points ------------------------------------------------------------------
 
 
-def test_point_is_frozen():
-    p = Point(1.0, 2.0)
-    with pytest.raises(AttributeError):
-        p.x = 3.0  # type: ignore[misc]
-    # its __init__ sets the slots directly; it stays a frozen dataclass
-    assert Point(x=1.0, y=2.0) == p == pickle.loads(pickle.dumps(p))
-    assert dataclasses.replace(p, y=5.0) == Point(1.0, 5.0)
-    assert hash(p) == hash(Point(1.0, 2.0))
-    assert repr(p) == "Point(x=1.0, y=2.0)"
-
-
 def test_distance_euclidean():
-    assert distance(Point(0, 0), Point(3, 4)) == 5.0
-    assert distance(Point(-1, -1), Point(-1, -1)) == 0.0
+    assert distance(complex(0, 0), complex(3, 4)) == 5.0
+    assert distance(complex(-1, -1), complex(-1, -1)) == 0.0
 
 
 def test_uniform_point_bounds():
     rng = np.random.default_rng(7)
     for _ in range(200):
         p = uniform_point(rng, 3.0)
-        assert 0.0 <= p.x <= 3.0
-        assert 0.0 <= p.y <= 3.0
+        assert 0.0 <= p.real <= 3.0
+        assert 0.0 <= p.imag <= 3.0
 
 
 def test_uniform_point_deterministic():
@@ -65,8 +52,8 @@ def _config(**overrides) -> ScenarioConfig:
 def test_config_derived_properties():
     cfg = _config()
     assert cfg.side == pytest.approx(math.sqrt(60.0))
-    assert cfg.center.x == pytest.approx(cfg.side / 2.0)
-    assert cfg.center.y == pytest.approx(cfg.side / 2.0)
+    assert cfg.center.real == pytest.approx(cfg.side / 2.0)
+    assert cfg.center.imag == pytest.approx(cfg.side / 2.0)
     assert cfg.load == pytest.approx(0.25 * 2.0 / 1)
 
 
@@ -103,7 +90,7 @@ def test_config_allows_infinite_speed():
 # -- grid construction against hand-computed geometry -------------------------
 
 GRID_TABLE = [
-    # (area, radius, k, num_cells, cell_side, effective_radius)
+    # (area, radius, k, num_cells, cell_side, half-diagonal)
     (60.0, R_17DB, 3, 9, 2.581989, 1.825742),
     (800.0, R_17DB, 9, 81, 3.142697, 2.222222),
     (125.0, R_20DB, 3, 9, 3.726780, 2.635231),
@@ -119,7 +106,7 @@ def test_grid_table(area, radius, k, n_s, cell_side, eff):
     assert g.cells_per_side == k
     assert g.num_cells == n_s
     assert g.cell_side == pytest.approx(cell_side, abs=1e-6)
-    assert g.effective_radius == pytest.approx(eff, abs=1e-6)
+    assert g.cell_side / math.sqrt(2.0) == pytest.approx(eff, abs=1e-6)
 
 
 def test_grid_single_cell_region():
@@ -167,13 +154,13 @@ VISIT_ORDERS = {
 
 @pytest.mark.parametrize("k", sorted(VISIT_ORDERS))
 def test_grid_visit_order_small_k(k):
-    g = RegionGrid(Point(0.0, 0.0), float(k), k)
+    g = RegionGrid(0j, float(k), k)
     assert [(cell % k, cell // k) for cell in g.cycle()] == VISIT_ORDERS[k]
 
 
 def test_grid_visit_rank_inverts_cycle_with_unit_hops():
     for k in range(1, 41):
-        g = RegionGrid(Point(0.0, 0.0), float(k), k)
+        g = RegionGrid(0j, float(k), k)
         cycle = g.cycle()
         assert sorted(cycle) == list(range(k * k))
         for i, cell in enumerate(cycle):
@@ -213,8 +200,8 @@ def test_grid_cell_index_roundtrip():
 def test_grid_cell_index_clamps_outside_points():
     g = build_grid(200.0, 2.2)
     side = g.side
-    assert 0 <= g.cell_of(Point(-1.0, -1.0)) < g.num_cells
-    assert 0 <= g.cell_of(Point(side + 1.0, side + 1.0)) < g.num_cells
+    assert 0 <= g.cell_of(complex(-1.0, -1.0)) < g.num_cells
+    assert 0 <= g.cell_of(complex(side + 1.0, side + 1.0)) < g.num_cells
 
 
 def test_grid_covers_region_within_effective_radius():
@@ -223,11 +210,11 @@ def test_grid_covers_region_within_effective_radius():
     for _ in range(500):
         p = uniform_point(rng, g.side)
         c = g.cell_center(g.cell_of(p))
-        # half-diagonal of a cell equals the effective radius, so every point
-        # of a cell is reachable from the cell center
-        assert distance(p, c) <= g.effective_radius * (1 + 1e-9)
-        assert abs(p.x - c.x) <= g.cell_side / 2 * (1 + 1e-9)
-        assert abs(p.y - c.y) <= g.cell_side / 2 * (1 + 1e-9)
+        # every point of a cell lies within its half-diagonal of the center
+        half_diagonal = g.cell_side / math.sqrt(2.0)
+        assert distance(p, c) <= half_diagonal * (1 + 1e-9)
+        assert abs(p.real - c.real) <= g.cell_side / 2 * (1 + 1e-9)
+        assert abs(p.imag - c.imag) <= g.cell_side / 2 * (1 + 1e-9)
 
 
 def test_build_grid_rejects_bad_inputs():
@@ -246,7 +233,7 @@ def test_grid_cell_count_is_minimal_cover(area, radius):
     assert k >= 1
     assert k * g.cell_side == pytest.approx(g.side, rel=1e-9)
     # chosen k keeps every cell coverable from its center
-    assert g.effective_radius <= radius * (1 + 1e-9)
+    assert g.cell_side / math.sqrt(2.0) <= radius * (1 + 1e-9)
     # and is the smallest such count
     if k > 1:
         coarser_eff = g.side / (k - 1) / math.sqrt(2.0)

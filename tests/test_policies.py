@@ -7,8 +7,7 @@ from dataclasses import replace
 import pytest
 
 from collectsim import policies
-from collectsim.core import (ConfigurationError, Point, ScenarioConfig,
-                             distance)
+from collectsim.core import ConfigurationError, ScenarioConfig, distance
 from collectsim.engine import (WAIT, Receive, Simulation, StopRule, TravelTo,
                                run)
 from collectsim.policies import (Fcfs, FcfsReturn, GridPartitioning,
@@ -57,8 +56,9 @@ def test_make_policy_validates_collector_count():
     for i, inner in enumerate(pol.inners):
         assert isinstance(inner, GridPartitioning)
         center = pol.fleet.cell_center(i)
-        assert (inner.grid.origin.x, inner.grid.origin.y) == pytest.approx(
-            (center.x - half, center.y - half), rel=1e-12)
+        assert (inner.grid.origin.real, inner.grid.origin.imag) == (
+            pytest.approx((center.real - half, center.imag - half),
+                          rel=1e-12))
 
 
 def test_policy_table_covers_every_kind():
@@ -133,7 +133,7 @@ def test_fcfs_return_goes_back_to_center_after_each_reception():
     cfg = wide_region_config(0.5, seed=3, reception_time=1.0, speed=2.0)
     pol = _LoggingFcfsReturn()
     run(cfg, pol, StopRule(max_messages=150))
-    center = Point(cfg.side / 2.0, cfg.side / 2.0)
+    center = complex(cfg.side / 2.0, cfg.side / 2.0)
     receives = [i for i, a in enumerate(pol.log) if isinstance(a, Receive)]
     assert len(receives) >= 150
     for i in receives:
@@ -381,13 +381,13 @@ def test_multi_partitioning_subregion_layout():
     assert sub == pytest.approx(cfg.side / 2.0)
     # row-major quadrants
     eps = 0.01
-    assert pol.fleet.cell_of(Point(eps, eps)) == 0
-    assert pol.fleet.cell_of(Point(sub + eps, eps)) == 1
-    assert pol.fleet.cell_of(Point(eps, sub + eps)) == 2
-    assert pol.fleet.cell_of(Point(sub + eps, sub + eps)) == 3
+    assert pol.fleet.cell_of(complex(eps, eps)) == 0
+    assert pol.fleet.cell_of(complex(sub + eps, eps)) == 1
+    assert pol.fleet.cell_of(complex(eps, sub + eps)) == 2
+    assert pol.fleet.cell_of(complex(sub + eps, sub + eps)) == 3
     # clamping for boundary/outside points
-    assert pol.fleet.cell_of(Point(-1.0, -1.0)) == 0
-    assert pol.fleet.cell_of(Point(cfg.side + 1.0, cfg.side + 1.0)) == 3
+    assert pol.fleet.cell_of(complex(-1.0, -1.0)) == 0
+    assert pol.fleet.cell_of(complex(cfg.side + 1.0, cfg.side + 1.0)) == 3
     # collectors start inside their own subregion
     for i, c in enumerate(sim.collectors):
         assert pol.fleet.cell_of(c.position) == i

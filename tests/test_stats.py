@@ -12,7 +12,7 @@ from scipy.special import stdtr, stdtrit
 from scipy.stats import linregress
 
 from collectsim.bounds import partitioning_delay, pk_mg1_wait
-from collectsim.core import Message, Point
+from collectsim.core import Message
 from collectsim.engine import EventTrace, StopRule, run
 from collectsim.policies import make_policy
 from collectsim.stats import (MIN_KEPT_MESSAGES, _Z975, _t975, ScalingFit,
@@ -41,8 +41,8 @@ def _synthetic_trace(messages, end_time, diverged=False, completed=None):
 def _message(i, arrival, departure, service=1.0):
     """Message ``i``; a finished one was received by collector 0."""
     if departure is None:
-        return Message(id=i, arrival_time=arrival, location=Point(1.0, 1.0))
-    return Message(id=i, arrival_time=arrival, location=Point(1.0, 1.0),
+        return Message(id=i, arrival_time=arrival, location=complex(1.0, 1.0))
+    return Message(id=i, arrival_time=arrival, location=complex(1.0, 1.0),
                    reception_start=departure - service,
                    departure_time=departure, collector=0)
 

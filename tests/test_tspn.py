@@ -9,14 +9,14 @@ import pytest
 
 from collectsim import tspn
 from collectsim.commmodel import in_range, reception_point
-from collectsim.core import (Message, Point, RegionGrid, build_grid, distance,
+from collectsim.core import (Message, RegionGrid, build_grid, distance,
                              uniform_point)
 from collectsim.tspn import (Tour, TourStop, grid_cover_tour, nn_tspn_tour,
                              plan_tour, tour_cap, tsp_upper_bound)
 
 
 def _messages(points: list[tuple[float, float]]) -> list[Message]:
-    return [Message(id=i, arrival_time=0.0, location=Point(x, y))
+    return [Message(id=i, arrival_time=0.0, location=complex(x, y))
             for i, (x, y) in enumerate(points)]
 
 
@@ -95,7 +95,7 @@ def test_grid_cover_rotation_is_optimal():
     grid = build_grid(200.0, 2.2)
     rng = np.random.default_rng(5)
     msgs = _random_messages(rng, 30, grid.side)
-    start = Point(1.0, 12.0)
+    start = complex(1.0, 12.0)
     tour = grid_cover_tour(msgs, grid, start)
 
     def rank(p):
@@ -126,7 +126,7 @@ def test_grid_cover_full_coverage_length_ignores_positions():
             c = grid.cell_center(cell)
             jx, jy = rng.uniform(-1.0, 1.0, 2)
             msgs.append(Message(id=i, arrival_time=0.0,
-                                location=Point(c.x + jx, c.y + jy)))
+                                location=complex(c.real + jx, c.imag + jy)))
         tour = grid_cover_tour(msgs, grid, grid.center)
         lengths.add(round(tour.total_length, 9))
     assert len(lengths) == 1
@@ -137,7 +137,7 @@ def test_grid_cover_full_coverage_length_ignores_positions():
 
 
 def test_nn_tour_empty_batch():
-    tour = nn_tspn_tour([], 1.0, Point(0, 0))
+    tour = nn_tspn_tour([], 1.0, complex(0, 0))
     assert tour.total_length == 0.0
     assert tour.method == "tspn"
 
@@ -146,16 +146,17 @@ def test_nn_tour_collinear_hand_value():
     # disks of radius 1 around (3,0) and (6,0), starting at the origin:
     # stop at (2,0), stop at (5,0), return -> 2 + 3 + 5 = 10
     msgs = _messages([(3.0, 0.0), (6.0, 0.0)])
-    tour = nn_tspn_tour(msgs, 1.0, Point(0.0, 0.0))
+    tour = nn_tspn_tour(msgs, 1.0, complex(0.0, 0.0))
     assert tour.total_length == pytest.approx(10.0, rel=1e-12)
-    assert [s.point for s in tour.stops] == [Point(2.0, 0.0), Point(5.0, 0.0)]
+    assert [s.point for s in tour.stops] == [complex(2.0, 0.0),
+                                             complex(5.0, 0.0)]
     assert tour.message_ids == (0, 1)
 
 
 def test_nn_tour_serves_batch_from_one_stop():
     # co-located messages share the single boundary stop at (3, 0)
     msgs = _messages([(5.0, 0.0), (5.0, 0.0)])
-    tour = nn_tspn_tour(msgs, 2.0, Point(0.0, 0.0))
+    tour = nn_tspn_tour(msgs, 2.0, complex(0.0, 0.0))
     assert len(tour.stops) == 1
     assert set(tour.stops[0].message_ids) == {0, 1}
     assert tour.total_length == pytest.approx(6.0, rel=1e-12)
@@ -163,9 +164,9 @@ def test_nn_tour_serves_batch_from_one_stop():
 
 def test_nn_tour_in_range_start_serves_immediately():
     msgs = _messages([(1.0, 0.0)])
-    tour = nn_tspn_tour(msgs, 2.0, Point(0.0, 0.0))
+    tour = nn_tspn_tour(msgs, 2.0, complex(0.0, 0.0))
     assert len(tour.stops) == 1
-    assert tour.stops[0].point == Point(0.0, 0.0)
+    assert tour.stops[0].point == complex(0.0, 0.0)
     assert tour.total_length == 0.0
 
 
@@ -173,7 +174,7 @@ def test_nn_tour_small_far_disk_takes_one_stop():
     # the plain boundary formula lands just outside this disk; the greedy
     # stop must still serve the message it was aimed at
     msgs = _messages([(50.0, 0.25)])
-    tour = nn_tspn_tour(msgs, 0.01, Point(0.0, 49.0))
+    tour = nn_tspn_tour(msgs, 0.01, complex(0.0, 49.0))
     assert len(tour.stops) == 1
     assert tour.stops[0].message_ids == (0,)
     assert in_range(tour.stops[0].point, msgs[0].location, 0.01)
@@ -186,7 +187,7 @@ def test_nn_tour_zero_radius_meets_tsp_bound():
         for seed in range(5):
             rng = np.random.default_rng(1000 + seed)
             msgs = _random_messages(rng, n, side)
-            tour = nn_tspn_tour(msgs, 0.0, Point(side / 2, side / 2))
+            tour = nn_tspn_tour(msgs, 0.0, complex(side / 2, side / 2))
             assert sorted(tour.message_ids) == list(range(n))
             assert tour.total_length <= tsp_upper_bound(n, area), (n, seed)
 
@@ -255,17 +256,17 @@ def test_plan_tour_length_capped_even_for_huge_batches():
 # -- float and array planner paths ------------------------------------------------
 
 
-def _row_loop_two_opt_pass(points: list[Point],
-                           start: Point) -> tuple[int, int] | None:
+def _row_loop_two_opt_pass(points: list[complex],
+                           start: complex) -> tuple[int, int] | None:
     """The 2-opt move (i, j) as a loop over rows i with one numpy sweep over
     j each: the reference the float and blocked passes must agree with."""
     n = len(points)
     if n < 3:
         return None
     coords = np.empty((n + 2, 2))
-    coords[0] = coords[-1] = (start.x, start.y)
+    coords[0] = coords[-1] = (start.real, start.imag)
     for i, p in enumerate(points, start=1):
-        coords[i] = (p.x, p.y)
+        coords[i] = (p.real, p.imag)
     diffs = np.diff(coords, axis=0)
     edge = np.hypot(diffs[:, 0], diffs[:, 1])
     best_gain, best_move = 1e-9, None
@@ -289,14 +290,13 @@ def test_float_distance_is_numpys_hypot():
         assert ([abs(complex(x, y)) for x, y in zip(dx.tolist(), dy.tolist())]
                 == np.hypot(dx, dy).tolist())
         # and so does the range test's metric
-        origin = Point(0.0, 0.0)
-        assert ([distance(Point(x, y), origin)
+        assert ([distance(complex(x, y), 0j)
                  for x, y in zip(dx.tolist(), dy.tolist())]
                 == np.hypot(dx, dy).tolist())
 
 
 def _tour_on_path(monkeypatch, path: str, msgs, radius: float,
-                  start: Point) -> Tour:
+                  start: complex) -> Tour:
     size = 10**9 if path == "float" else 0
     monkeypatch.setattr(tspn, "_FLOAT_GREEDY_MAX", size)
     return nn_tspn_tour(msgs, radius, start)
@@ -317,7 +317,7 @@ def test_float_and_array_paths_plan_the_same_tours(monkeypatch, radius):
 
 def test_float_and_array_paths_agree_on_a_small_far_disk(monkeypatch):
     msgs = _messages([(50.0, 0.25)])
-    start = Point(0.0, 49.0)
+    start = complex(0.0, 49.0)
     float_tour = _tour_on_path(monkeypatch, "float", msgs, 0.01, start)
     array_tour = _tour_on_path(monkeypatch, "array", msgs, 0.01, start)
     assert float_tour == array_tour
@@ -328,10 +328,10 @@ def test_served_messages_pass_in_range_at_the_threshold(monkeypatch, path):
     # Q lies within one ulp of the slackened radius from S, where math.hypot
     # and the C library's hypot round apart: the planners served Q from S
     # while in_range, then on math.hypot, rejected it
-    start = Point(4.643559328992893, 0.9684965013453617)
-    far = Point(2.311232943385412, 8.377794889348364)
+    start = complex(4.643559328992893, 0.9684965013453617)
+    far = complex(2.311232943385412, 8.377794889348364)
     radius = 7.7677183890344565
-    msgs = _messages([(start.x, start.y), (far.x, far.y)])
+    msgs = _messages([(start.real, start.imag), (far.real, far.imag)])
     size = 10**9 if path == "float" else 0
     monkeypatch.setattr(tspn, "_FLOAT_GREEDY_MAX", size)
     tour = plan_tour(msgs, build_grid(100.0, radius), radius, start)
@@ -345,17 +345,17 @@ def test_served_messages_pass_in_range_at_the_threshold(monkeypatch, path):
 def test_stop_points_are_plain_floats(monkeypatch, path):
     rng = np.random.default_rng(8)
     msgs = _random_messages(rng, 2 * tspn._FLOAT_GREEDY_MAX, 7.0)
-    tour = _tour_on_path(monkeypatch, path, msgs, 2.24, Point(3.5, 3.5))
+    tour = _tour_on_path(monkeypatch, path, msgs, 2.24, complex(3.5, 3.5))
     assert len(tour.stops) > 3
     for stop in tour.stops:
-        assert type(stop.point.x) is float and type(stop.point.y) is float
+        assert type(stop.point) is complex
 
 
-def _stop_points(rng, n: int, lattice: bool) -> list[Point]:
+def _stop_points(rng, n: int, lattice: bool) -> list[complex]:
     if lattice:
         # many equal gains, so the first-maximum rule decides the move
         k = math.isqrt(n) + 1
-        return [Point(float(i % k), float(i // k)) for i in rng.permutation(n)]
+        return [complex(i % k, i // k) for i in rng.permutation(n)]
     return [uniform_point(rng, 20.0) for _ in range(n)]
 
 
@@ -363,7 +363,7 @@ def _stop_points(rng, n: int, lattice: bool) -> list[Point]:
 def test_blocked_two_opt_matches_the_row_loop(monkeypatch, block):
     monkeypatch.setattr(tspn, "_TWO_OPT_BLOCK", block)
     rng = np.random.default_rng(block)
-    start = Point(3.0, 4.0)
+    start = complex(3.0, 4.0)
     for n in range(3, 90, 2):
         for lattice in (False, True):
             points = _stop_points(rng, n, lattice)
@@ -377,11 +377,11 @@ def test_float_two_opt_rounds_as_numpy_does():
     # on a lattice of spacing 0.3 equal gains differ only by rounding, so a
     # different distance (math.hypot) or summation order picks another move
     rng = np.random.default_rng(5)
-    start = Point(0.1, 0.2)
+    start = complex(0.1, 0.2)
     for n in range(3, tspn._FLOAT_TWO_OPT_MAX + 1):
         k = math.isqrt(n) + 1
         for _ in range(40):
-            points = [Point(0.3 * (i % k) + 0.1, 0.3 * (i // k) + 0.2)
+            points = [complex(0.3 * (i % k) + 0.1, 0.3 * (i // k) + 0.2)
                       for i in rng.permutation(n).tolist()]
             assert (tspn._two_opt_move_float(points, start)
                     == _row_loop_two_opt_pass(points, start)), n
@@ -396,7 +396,7 @@ def test_two_opt_pass_switches_path_past_the_float_max(monkeypatch, n,
 
     monkeypatch.setattr(tspn, f"_two_opt_move_{unused}", fail)
     rng = np.random.default_rng(n)
-    start = Point(3.0, 4.0)
+    start = complex(3.0, 4.0)
     for lattice in (False, True):
         points = _stop_points(rng, n, lattice)
         move = _row_loop_two_opt_pass(points, start)
@@ -409,7 +409,7 @@ def test_default_blocks_match_the_row_loop():
     assert tspn._TWO_OPT_BLOCK // n < n - 1  # several row blocks
     rng = np.random.default_rng(3)
     points = [uniform_point(rng, 20.0) for _ in range(n)]
-    start = Point(10.0, 10.0)
+    start = complex(10.0, 10.0)
     assert (tspn._two_opt_move_array(points, start)
             == _row_loop_two_opt_pass(points, start))
 
@@ -417,7 +417,7 @@ def test_default_blocks_match_the_row_loop():
 # -- resumed re-projection, the cover skip and the cycle tables -----------------
 
 
-def _closed_length(points: list[Point], start: Point) -> float:
+def _closed_length(points: list[complex], start: complex) -> float:
     total = 0.0
     prev = start
     for p in points:
@@ -426,7 +426,7 @@ def _closed_length(points: list[Point], start: Point) -> float:
     return total + distance(prev, start)
 
 
-def _full_reproject_tour(msgs, radius: float, start: Point) -> Tour:
+def _full_reproject_tour(msgs, radius: float, start: complex) -> Tour:
     """nn_tspn_tour with every 2-opt round re-projecting the whole reordered
     stop list and summing its length anew: the reference for the resumed
     re-projection and the carried lengths."""
@@ -461,11 +461,11 @@ def _full_reproject_tour(msgs, radius: float, start: Point) -> Tour:
 def _bits(planned) -> tuple:
     """Stops, running lengths and closed length, floats as their exact bits."""
     stops, run, length = planned
-    return ([(float(p.x).hex(), float(p.y).hex(), list(mids))
+    return ([(p.real.hex(), p.imag.hex(), list(mids))
              for p, mids in stops], [v.hex() for v in run], length.hex())
 
 
-def _assert_fixed_point(planned, msgs, radius: float, start: Point) -> None:
+def _assert_fixed_point(planned, msgs, radius: float, start: complex) -> None:
     """Re-projecting the whole greedy tour returns it bit for bit: its stops,
     running lengths and closed length."""
     locate = {m.id: m.location for m in msgs}.__getitem__
@@ -478,7 +478,7 @@ def _assert_fixed_point(planned, msgs, radius: float, start: Point) -> None:
 def test_greedy_tour_is_a_fixed_point_of_reprojection(greedy):
     # the first message lies in in_range's slack band around the start: the
     # greedy serves it from the start, and re-projection must not move it
-    start = Point(0.0, 0.0)
+    start = complex(0.0, 0.0)
     msgs = _messages([(1 + 1e-13, 0.0), (5.0, 3.0), (-4.0, 6.0), (7.0, -2.0)])
     planned = greedy(msgs, 1.0, start)
     assert planned[0][0] == (start, [0])
@@ -498,7 +498,7 @@ def _clustered_messages(rng, n: int, side: float,
         if rng.random() < 0.5:
             dx = dy = 0.0
         msgs.append(Message(id=i, arrival_time=0.0,
-                            location=Point(c.x + dx, c.y + dy)))
+                            location=complex(c.real + dx, c.imag + dy)))
     return msgs
 
 
@@ -541,7 +541,7 @@ def test_resumed_reprojection_matches_the_full_one(monkeypatch, radius):
     assert batched_mid_tour > 0
 
 
-def _plan_both(msgs, grid, radius: float, start: Point) -> Tour:
+def _plan_both(msgs, grid, radius: float, start: complex) -> Tour:
     """plan_tour as it was before the cover skip: both tours, the greedy one
     only if strictly shorter."""
     cover = grid_cover_tour(msgs, grid, start)
@@ -561,7 +561,7 @@ def _counting_cover(monkeypatch) -> list[int]:
     return calls
 
 
-def _cover_bound_holds(msgs, grid, radius: float, start: Point) -> bool:
+def _cover_bound_holds(msgs, grid, radius: float, start: complex) -> bool:
     reach = max(distance(start, grid.cell_center(grid.cell_of(m.location)))
                 for m in msgs)
     greedy = nn_tspn_tour(msgs, radius, start)
@@ -593,7 +593,7 @@ def test_one_message_in_the_start_cell_keeps_the_cover(monkeypatch):
     calls = _counting_cover(monkeypatch)
     grid = build_grid(60.0, 2.24)  # 3 x 3, the start is the middle center
     start = grid.center
-    msgs = _messages([(start.x + 0.5, start.y - 0.25)])
+    msgs = _messages([(start.real + 0.5, start.imag - 0.25)])
     tour = plan_tour(msgs, grid, 2.24, start)
     assert len(calls) == 1  # a bound of zero cannot rule the cover out
     assert nn_tspn_tour(msgs, 2.24, start).total_length == 0.0
@@ -610,7 +610,7 @@ def test_batch_in_the_farthest_cells_only(monkeypatch):
     far = max(distance(start, grid.cell_center(c)) for c in range(k * k))
     for count in (1, 2, 4):
         points = [grid.cell_center(c) for c in corners[:count]]
-        msgs = _messages([(p.x, p.y) for p in points])
+        msgs = _messages([(p.real, p.imag) for p in points])
         assert all(distance(start, p) == pytest.approx(far, rel=1e-12)
                    for p in points)
         skip = _cover_bound_holds(msgs, grid, 2.24, start)
@@ -628,7 +628,7 @@ def test_batch_in_the_farthest_cells_only(monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 9])
 def test_cycle_tables_are_the_grid_arithmetic(k):
-    for origin in (Point(0.0, 0.0), Point(-3.5, 12.25)):
+    for origin in (0j, complex(-3.5, 12.25)):
         grid = RegionGrid(origin=origin, side=7.0, cells_per_side=k)
         ranks, centers = tspn._cycle_tables(grid)
         cells = range(grid.num_cells)
@@ -640,12 +640,12 @@ def test_cycle_table_cache_is_bounded():
     bound = tspn._cycle_tables.cache_info().maxsize
     assert bound == 8
     for k in range(1, 2 * bound + 2):
-        tspn._cycle_tables(RegionGrid(Point(0.0, 0.0), 5.0, k))
+        tspn._cycle_tables(RegionGrid(0j, 5.0, k))
     assert tspn._cycle_tables.cache_info().currsize == bound
 
 
 def _render(tour: Tour) -> str:
-    stops = ";".join(f"{s.point.x.hex()},{s.point.y.hex()}:"
+    stops = ";".join(f"{s.point.real.hex()},{s.point.imag.hex()}:"
                      + ",".join(map(str, s.message_ids)) for s in tour.stops)
     return f"{tour.method} {tour.total_length.hex()} {stops}\n"
 
