@@ -25,7 +25,7 @@ from pathlib import Path
 from .bounds import BoundReport, bound_report
 from .commmodel import reception_radius
 from .core import ConfigurationError, ScenarioConfig
-from .engine import EventTrace, StopRule, run
+from .engine import EventTrace, StopRule, run, shared_arrivals
 from .policies import PolicyKind, make_policy
 from .stats import SimResult, TraceStats, pool_stats, trace_stats, wait_split
 
@@ -311,13 +311,16 @@ def _run_cell(job) -> TraceStats:
 
 
 def run_cells(jobs, parallel: int = 1) -> list[TraceStats]:
-    """Summarise each ``(config, kind, stop, warmup)`` job, in order."""
+    """Summarise each ``(config, kind, stop, warmup)`` job, in order. Run
+    serially, consecutive jobs of one seed replay one set of arrival draws
+    (``engine.shared_arrivals``), kept only until the call returns."""
     if parallel > 1 and len(jobs) > 1:
         # imported here: it loads multiprocessing, which serial calls skip
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             return list(pool.map(_run_cell, jobs, chunksize=1))
-    return [_run_cell(job) for job in jobs]
+    with shared_arrivals():
+        return [_run_cell(job) for job in jobs]
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
@@ -325,16 +328,17 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
     """Simulate every (policy, load, seed) cell, pool seeds, and write
     results.csv with one row per (policy, load)."""
     cells = [(kind, load) for kind in spec.policies for load in spec.loads]
+    # seed by seed, so that the cells of a seed share its arrival draws
     jobs = [(scenario_config(spec, load, seed), kind,
              StopRule(max_messages=spec.messages), spec.warmup)
-            for kind, load in cells for seed in spec.seeds]
+            for seed in spec.seeds for kind, load in cells]
     parts = run_cells(jobs, parallel)
 
-    # run_cells keeps job order, so each cell's seeds are one consecutive slice
-    n = len(spec.seeds)
+    # run_cells keeps job order, so cell i's seeds are every len(cells)-th
+    # part from part i on
     lines = [",".join(RESULT_COLUMNS)]
     for i, (kind, load) in enumerate(cells):
-        pooled = pool_stats(parts[i * n:(i + 1) * n])
+        pooled = pool_stats(parts[i::len(cells)])
         report = bound_report(scenario_config(spec, load, spec.seeds[0]))
         lines.append(",".join(_result_cells(kind.value, load, pooled, report)))
     out = Path(out_dir) / "results.csv"

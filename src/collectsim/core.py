@@ -34,11 +34,8 @@ def distance(a: complex, b: complex) -> float:
 
 
 def uniform_point(rng, side: float) -> complex:
-    """Draw a uniform random point on the square [0, side]^2.
-
-    Draw order is fixed (x first, then y) so traces are reproducible for a
-    given generator state.
-    """
+    """Draw a uniform random point on the square [0, side]^2: x first, then
+    y. The engine's arrival draws take their points from here."""
     return complex(side * rng.random(), side * rng.random())
 
 

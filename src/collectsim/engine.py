@@ -12,6 +12,9 @@ arrival, leg end and reception end, and carries out each action that
 from __future__ import annotations
 
 import itertools
+from array import array
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Protocol
@@ -143,6 +146,65 @@ class EventTrace:
 
 
 # --------------------------------------------------------------------------
+# the arrival stream
+
+
+class ArrivalDraws:
+    """The arrival draws of one seed: per arrival a standard exponential gap,
+    then a point of the unit square from ``uniform_point``, drawn from
+    ``default_rng(seed)`` one arrival at a time, when a run first needs it.
+    ``values`` keeps them flat, three per arrival. A run scales them by its
+    own mean gap and side, so every run of a seed sees the same draws,
+    whatever its rate or policy."""
+
+    __slots__ = ("seed", "values", "_rng")
+
+    def __init__(self, seed: int) -> None:
+        from numpy.random import default_rng
+        self.seed = seed
+        self.values = array("d")
+        self._rng = default_rng(seed)
+
+    def draw(self) -> None:
+        """Append the next arrival's gap and point."""
+        rng = self._rng
+        gap = rng.standard_exponential()
+        point = uniform_point(rng, 1.0)
+        self.values.extend((gap, point.real, point.imag))
+
+
+# the draws of the latest seed simulated in the innermost shared_arrivals
+# block, None outside one: a context variable, not an argument, so that
+# run(config, policy, stop) and the wrappers that replace it keep their
+# signature
+_shared: ContextVar[list[ArrivalDraws] | None] = ContextVar(
+    "shared_arrivals", default=None)
+
+
+@contextmanager
+def shared_arrivals():
+    """While the block runs, a new Simulation replays the draws of the
+    previous one made in the block if both have the same seed, instead of
+    drawing its own. The draws of a seed do not depend on which runs made
+    them, so neither do any run's results. Only the latest seed's draws are
+    kept: run the jobs of one seed together."""
+    token = _shared.set([])
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
+def _draws_for(seed: int) -> ArrivalDraws:
+    kept = _shared.get()
+    if kept is None:
+        return ArrivalDraws(seed)
+    if not kept or kept[0].seed != seed:
+        kept[:] = [ArrivalDraws(seed)]
+    return kept[0]
+
+
+# --------------------------------------------------------------------------
 # the simulation proper
 
 
@@ -151,18 +213,24 @@ class Simulation:
 
     Policies may inspect ``time``, ``messages``, ``collectors``, ``radius``,
     ``config`` and ``next_arrival_time``; all mutation goes through the
-    engine. The next arrival is drawn ahead: the arrival stream does not
-    depend on the policy's actions, so no message can arrive earlier."""
+    engine. The next arrival is known ahead: the arrival stream does not
+    depend on the policy's actions, so no message can arrive earlier.
+
+    Arrivals come from ``draws``, the ``ArrivalDraws`` of the config's seed:
+    each arrival comes E / arrival_rate after the one before (the first,
+    after time 0) at ``complex(side * x, side * y)``, for its draws
+    (E, x, y). Inside a ``shared_arrivals`` block, as in one
+    ``cli.run_cells`` call, the runs of one seed replay one set of draws,
+    and a run's results do not depend on which other runs shared them."""
 
     def __init__(self, config: ScenarioConfig, policy: Policy,
                  stop: StopRule | None = None) -> None:
-        from numpy.random import default_rng
         self.config = config
         self.policy = policy
         self.stop = stop if stop is not None else StopRule(max_messages=50_000)
         self.radius = reception_radius(config.snr_ref, config.snr_threshold,
                                        config.path_loss)
-        self.rng = default_rng(config.seed)
+        self.draws = _draws_for(config.seed)
         self.time = 0.0
         self.messages: list[Message] = []
         self.completed: list[Message] = []
@@ -177,15 +245,8 @@ class Simulation:
                 10.0, config.arrival_rate * config.reception_time
                 / (1.0 - min(config.load, 0.99)))
         self.next_arrival_time = 0.0
-        self._next_arrival_loc: complex | None = None
-        self._mean_gap = 1.0 / config.arrival_rate
-        self._side = config.side
 
-    # -- scheduling helpers
-
-    def _schedule_next_arrival(self) -> None:
-        self.next_arrival_time += self.rng.exponential(self._mean_gap)
-        self._next_arrival_loc = uniform_point(self.rng, self._side)
+    # -- accounting helper
 
     def _bill_legs_in_flight(self, end_time: float) -> None:
         """Add the part of each unfinished leg covered by ``end_time``. A leg
@@ -208,7 +269,13 @@ class Simulation:
         after a leg or a reception only over its own collector."""
         policy = self.policy
         policy.attach(self)
-        self._schedule_next_arrival()
+        # numpy's exponential(scale) is scale * standard_exponential(), so
+        # these are the times and points of scalar draws from the seed
+        mean_gap, side = 1.0 / self.config.arrival_rate, self.config.side
+        values, draw = self.draws.values, self.draws.draw
+        if not values:
+            draw()
+        self.next_arrival_time = mean_gap * values[0]
         # looked up here, not at import, so a patched module attribute holds
         step, on_arrival = step_policy, policy.on_arrival
         horizon, target = self.stop.horizon, self.stop.max_messages
@@ -229,9 +296,14 @@ class Simulation:
                 break
             self.time = time
             if ref < 0:
-                msg = Message(len(messages), time, self._next_arrival_loc)
+                k = 3 * len(messages)
+                msg = Message(len(messages), time,
+                              complex(side * values[k + 1],
+                                      side * values[k + 2]))
                 messages.append(msg)
-                self._schedule_next_arrival()
+                if k + 3 == len(values):
+                    draw()
+                self.next_arrival_time = time + mean_gap * values[k + 3]
                 on_arrival(self, msg)
                 scan = collectors
             elif kind == _TRAVEL_DONE:

@@ -20,8 +20,9 @@ from collectsim.cli import (BOUNDS_COLUMNS, KEYS, MESSAGE_COLUMNS,
                             run_experiment, scenario_config, trace_run)
 from collectsim.commmodel import reception_radius
 from collectsim.core import ConfigurationError
-from collectsim.engine import StopRule, run as engine_run
+from collectsim.engine import Simulation, StopRule, run as engine_run
 from collectsim.policies import PolicyKind, make_policy
+from collectsim.stats import trace_stats
 
 from matrixlib import case2_config, fleet_config
 
@@ -336,6 +337,30 @@ def test_run_cells_parallel_equals_serial():
     assert [p.seed for p in serial] == [1, 2, 3, 4]
     assert serial[-1].verdict == "diverged"
     assert run_cells(jobs, parallel=2) == serial
+
+
+def test_run_cells_sharing_draws_equals_each_job_alone():
+    # the case2 sweep's cells over two seeds: seed by seed, as
+    # run_experiment orders them, the cells of a seed replay one set of
+    # arrival draws; cell by cell the seeds alternate and each job draws
+    # anew. Either way every summary is that of the job run on its own
+    policies = (PolicyKind.GRID_PARTITIONING, PolicyKind.FCFS,
+                PolicyKind.FCFS_RETURN)
+    jobs = [(case2_config(load, seed), kind, StopRule(max_messages=1500), 0.2)
+            for seed in (1, 2) for kind in policies for load in (0.3, 0.5, 0.8)]
+    alone = [trace_stats(engine_run(config, make_policy(kind, config), stop),
+                         warmup_fraction=warmup)
+             for config, kind, stop, warmup in jobs]
+    assert run_cells(jobs) == alone
+    order = sorted(range(len(jobs)), key=lambda i: (i % 9, i))
+    assert run_cells([jobs[i] for i in order]) == [alone[i] for i in order]
+
+
+def test_run_cells_keeps_no_draws_after_it_returns():
+    config = case2_config(0.5, 1)
+    run_cells([(config, PolicyKind.FCFS, StopRule(max_messages=100), 0.2)])
+    sim = Simulation(config, make_policy(PolicyKind.FCFS, config))
+    assert len(sim.draws.values) == 0
 
 
 def test_run_experiment_empty_loads_writes_header_only(tmp_path):

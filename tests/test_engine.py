@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from collectsim.core import ConfigurationError, ContractViolation, distance
-from collectsim.engine import (WAIT, EventTrace, Receive, Simulation,
-                               StopRule, TravelTo, Wait, run, step_policy)
+from collectsim.engine import (WAIT, ArrivalDraws, EventTrace, Receive,
+                               Simulation, StopRule, TravelTo, Wait, run,
+                               shared_arrivals, step_policy)
 from collectsim.policies import PolicyKind, make_policy
 from collectsim.stats import occupancy_steps, wait_split
 
@@ -51,35 +52,49 @@ def test_stop_rule_accepts_combinations():
 
 def test_simulation_arrivals_match_generator():
     # the engine's stream, message by message: per arrival one exponential
-    # gap of mean 1/lambda, then x, then y, uniform on the square
-    cfg = reception_queue_config(0.5, seed=42)
-    sim = Simulation(cfg, _grid_policy(cfg), StopRule(max_messages=300))
-    trace = sim.run()
-    assert len(trace.messages) >= 300
-    rng = np.random.default_rng(cfg.seed)
-    t = 0.0
-    for msg in trace.messages:
-        t += rng.exponential(1.0 / cfg.arrival_rate)
-        x, y = cfg.side * rng.random(), cfg.side * rng.random()
-        assert msg.arrival_time == t
-        assert msg.location == complex(x, y)
+    # gap of mean 1/lambda, then x, then y, uniform on the square; the
+    # second rate replays the first run's draws of the same seed
+    with shared_arrivals():
+        for load in (0.5, 0.8):
+            cfg = reception_queue_config(load, seed=42)
+            sim = Simulation(cfg, _grid_policy(cfg),
+                             StopRule(max_messages=300))
+            trace = sim.run()
+            assert len(trace.messages) >= 300
+            rng = np.random.default_rng(cfg.seed)
+            t = 0.0
+            for msg in trace.messages:
+                t += rng.exponential(1.0 / cfg.arrival_rate)
+                x, y = cfg.side * rng.random(), cfg.side * rng.random()
+                assert msg.arrival_time == t
+                assert msg.location == complex(x, y)
+
+
+def test_shared_arrivals_keep_the_latest_seeds_draws():
+    cfg = case2_config(0.5, seed=1)
+    with shared_arrivals():
+        first = Simulation(cfg, _grid_policy(cfg)).draws
+        other_rate = Simulation(replace(cfg, arrival_rate=0.4),
+                                _fcfs(cfg)).draws
+        other_seed = Simulation(replace(cfg, seed=2), _fcfs(cfg)).draws
+        again = Simulation(cfg, _grid_policy(cfg)).draws
+    after = Simulation(cfg, _grid_policy(cfg)).draws
+    assert other_rate is first
+    assert other_seed.seed == 2 and again.seed == 1
+    assert again is not first and after is not again
 
 
 # -- same-instant event order ------------------------------------------------------
 
 
-class _GapStub:
-    """Stands in for a simulation's generator: the given arrival gaps, then
-    a long quiet spell, with every message at the center of the region."""
-
-    def __init__(self, gaps):
-        self.gaps = list(gaps)
-
-    def exponential(self, scale):
-        return self.gaps.pop(0) if self.gaps else 1e6
-
-    def random(self):
-        return 0.5
+def _scripted_draws(gaps):
+    """Arrival draws of the given gaps, then a long quiet spell, with every
+    message at the center of the region. The configs here have mean gap 2,
+    so standard gaps of half each gap give the gaps exactly."""
+    draws = ArrivalDraws(0)
+    for gap in [*gaps, 1e6]:
+        draws.values.extend((gap / 2.0, 0.5, 0.5))
+    return draws
 
 
 def test_completion_goes_before_an_arrival_at_the_same_instant():
@@ -88,7 +103,7 @@ def test_completion_goes_before_an_arrival_at_the_same_instant():
     # target and the run ends before message 1 exists
     cfg = reception_queue_config(0.5, seed=0)
     sim = Simulation(cfg, _grid_policy(cfg), StopRule(max_messages=1))
-    sim.rng = _GapStub([1.0, cfg.reception_time])
+    sim.draws = _scripted_draws([1.0, cfg.reception_time])
     trace = sim.run()
     assert trace.end_time == 2.0
     assert len(trace.messages) == 1
@@ -119,7 +134,7 @@ def test_leg_end_goes_before_an_arrival_at_the_same_instant():
     cfg = reception_queue_config(0.5, seed=0)
     policy = _TravelsThenReceives()
     sim = Simulation(cfg, policy, StopRule(max_messages=1))
-    sim.rng = _GapStub([1.0, 1.0])
+    sim.draws = _scripted_draws([1.0, 1.0])
     trace = sim.run()
     assert policy.seen == [(2.0, 1)]
     assert trace.end_time == 3.0
@@ -165,7 +180,7 @@ def _scripted_run(script, gaps, collectors=3):
                   collectors=collectors)
     policy = _Scripted(script)
     sim = Simulation(cfg, policy, StopRule(horizon=20.0))
-    sim.rng = _GapStub(gaps)
+    sim.draws = _scripted_draws(gaps)
     sim.run()
     return policy.asked
 

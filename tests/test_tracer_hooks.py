@@ -21,10 +21,10 @@ scenario.speed = {speed}
 scenario.reception_time = 1
 scenario.snr_db = 20
 scenario.collectors = {collectors}
-sweep.loads = 0.5
+sweep.loads = {loads}
 policy.kinds = {policy}
 run.messages = 300
-run.seeds = 1
+run.seeds = {seeds}
 """
 
 # policy -> (area, speed, collectors). The cell sweep on the small region is
@@ -38,13 +38,15 @@ SCENARIOS = {
 }
 
 
-def _traced_cli_run(tmp_path, monkeypatch, policy):
+def _traced_cli_run(tmp_path, monkeypatch, policy, loads="0.5", seeds="1"):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spans = importlib.import_module("spans")
-    area, speed, collectors = SCENARIOS[policy]
+    # a list of policies runs on the first one's scenario
+    area, speed, collectors = SCENARIOS[policy.split(",")[0]]
     config = tmp_path / "mini.cfg"
     config.write_text(CONFIG.format(area=area, speed=speed,
-                                    collectors=collectors, policy=policy))
+                                    collectors=collectors, policy=policy,
+                                    loads=loads, seeds=seeds))
     tracer = spans.Tracer()
     with spans.installed(tracer):
         code = cli.main(["run", "--config", str(config),
@@ -87,3 +89,14 @@ def test_tracer_hooks_fire_on_tspn_cyclic(tmp_path, monkeypatch):
     assert tracer.counts["commmodel.reception_point"] > 0
     spans = importlib.import_module("spans")
     assert spans.tour_failures(tracer) == []
+
+
+def test_tracer_hooks_fire_on_runs_sharing_arrival_draws(tmp_path,
+                                                        monkeypatch):
+    # the runs of one seed replay one set of arrival draws; each of the
+    # 2 policies x 2 loads x 2 seeds still goes through the patched hooks
+    tracer = _traced_cli_run(tmp_path, monkeypatch, "fcfs, grid_partitioning",
+                             loads="0.3, 0.5", seeds="1, 2")
+    assert tracer.calls("engine.run") == 2 * 2 * 2
+    assert tracer.calls("engine.step_policy") == \
+        tracer.calls("policies.next_action")

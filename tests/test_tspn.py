@@ -304,10 +304,14 @@ def _tour_on_path(monkeypatch, path: str, msgs, radius: float,
 
 @pytest.mark.parametrize("radius", [0.0, 0.01, 2.24])
 def test_float_and_array_paths_plan_the_same_tours(monkeypatch, radius):
-    largest = 2 * tspn._FLOAT_GREEDY_MAX
+    # the small sizes, both sides of the crossover and the top end of
+    # sizes up to twice the crossover
+    crossover = tspn._FLOAT_GREEDY_MAX
+    sizes = [*range(1, 13), *range(crossover - 4, crossover + 5),
+             *range(2 * crossover - 4, 2 * crossover + 1)]
     side = math.sqrt(60.0)
     rng = np.random.default_rng(int(radius * 100) + 5)
-    for n in range(1, largest + 1):
+    for n in sizes:
         msgs = _random_messages(rng, n, side)
         start = uniform_point(rng, side)
         float_tour = _tour_on_path(monkeypatch, "float", msgs, radius, start)
