@@ -25,7 +25,7 @@ from pathlib import Path
 from .bounds import BoundReport, bound_report
 from .commmodel import reception_radius
 from .core import ConfigurationError, ScenarioConfig
-from .engine import EventTrace, StopRule, run, shared_arrivals
+from .engine import EventTrace, StopRule, forget_arrivals, run
 from .policies import PolicyKind, make_policy
 from .stats import SimResult, TraceStats, pool_stats, trace_stats, wait_split
 
@@ -311,16 +311,19 @@ def _run_cell(job) -> TraceStats:
 
 
 def run_cells(jobs, parallel: int = 1) -> list[TraceStats]:
-    """Summarise each ``(config, kind, stop, warmup)`` job, in order. Run
-    serially, consecutive jobs of one seed replay one set of arrival draws
-    (``engine.shared_arrivals``), kept only until the call returns."""
-    if parallel > 1 and len(jobs) > 1:
-        # imported here: it loads multiprocessing, which serial calls skip
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            return list(pool.map(_run_cell, jobs, chunksize=1))
-    with shared_arrivals():
+    """Summarise each ``(config, kind, stop, warmup)`` job, in order.
+    Consecutive jobs of one seed in a thread, or in a ``parallel`` worker,
+    replay one set of arrival draws (see ``engine.Simulation``); this
+    thread's are dropped when the call returns."""
+    try:
+        if parallel > 1 and len(jobs) > 1:
+            # imported here: it loads multiprocessing, which serial calls skip
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=parallel) as pool:
+                return list(pool.map(_run_cell, jobs, chunksize=1))
         return [_run_cell(job) for job in jobs]
+    finally:
+        forget_arrivals()
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path,

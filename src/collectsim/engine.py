@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -155,7 +154,8 @@ class ArrivalDraws:
     ``default_rng(seed)`` one arrival at a time, when a run first needs it.
     ``values`` keeps them flat, three per arrival. A run scales them by its
     own mean gap and side, so every run of a seed sees the same draws,
-    whatever its rate or policy."""
+    whatever its rate or policy. A thread keeps its latest seed's draws
+    until a run of another seed or ``forget_arrivals``."""
 
     __slots__ = ("seed", "values", "_rng")
 
@@ -173,35 +173,17 @@ class ArrivalDraws:
         self.values.extend((gap, point.real, point.imag))
 
 
-# the draws of the latest seed simulated in the innermost shared_arrivals
-# block, None outside one: a context variable, not an argument, so that
-# run(config, policy, stop) and the wrappers that replace it keep their
-# signature
-_shared: ContextVar[list[ArrivalDraws] | None] = ContextVar(
-    "shared_arrivals", default=None)
+# the draws of the latest seed simulated in this thread: a context variable,
+# not an argument, so that run(config, policy, stop) and the wrappers that
+# replace it keep their signature; one per thread, as two threads drawing
+# into one ArrivalDraws could interleave their draws
+_latest: ContextVar[ArrivalDraws | None] = ContextVar("latest_arrivals",
+                                                      default=None)
 
 
-@contextmanager
-def shared_arrivals():
-    """While the block runs, a new Simulation replays the draws of the
-    previous one made in the block if both have the same seed, instead of
-    drawing its own. The draws of a seed do not depend on which runs made
-    them, so neither do any run's results. Only the latest seed's draws are
-    kept: run the jobs of one seed together."""
-    token = _shared.set([])
-    try:
-        yield
-    finally:
-        _shared.reset(token)
-
-
-def _draws_for(seed: int) -> ArrivalDraws:
-    kept = _shared.get()
-    if kept is None:
-        return ArrivalDraws(seed)
-    if not kept or kept[0].seed != seed:
-        kept[:] = [ArrivalDraws(seed)]
-    return kept[0]
+def forget_arrivals() -> None:
+    """Drop this thread's kept draws, so the next run draws anew."""
+    _latest.set(None)
 
 
 # --------------------------------------------------------------------------
@@ -219,9 +201,10 @@ class Simulation:
     Arrivals come from ``draws``, the ``ArrivalDraws`` of the config's seed:
     each arrival comes E / arrival_rate after the one before (the first,
     after time 0) at ``complex(side * x, side * y)``, for its draws
-    (E, x, y). Inside a ``shared_arrivals`` block, as in one
-    ``cli.run_cells`` call, the runs of one seed replay one set of draws,
-    and a run's results do not depend on which other runs shared them."""
+    (E, x, y). A thread keeps its latest seed's draws until a run of
+    another seed or the end of a ``cli.run_cells`` call, so consecutive runs
+    of one seed replay one set of draws, in ``--parallel`` workers too; a
+    run's results do not depend on which other runs shared them."""
 
     def __init__(self, config: ScenarioConfig, policy: Policy,
                  stop: StopRule | None = None) -> None:
@@ -230,7 +213,10 @@ class Simulation:
         self.stop = stop if stop is not None else StopRule(max_messages=50_000)
         self.radius = reception_radius(config.snr_ref, config.snr_threshold,
                                        config.path_loss)
-        self.draws = _draws_for(config.seed)
+        self.draws = _latest.get()
+        if self.draws is None or self.draws.seed != config.seed:
+            self.draws = ArrivalDraws(config.seed)
+            _latest.set(self.draws)
         self.time = 0.0
         self.messages: list[Message] = []
         self.completed: list[Message] = []

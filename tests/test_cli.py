@@ -351,16 +351,32 @@ def test_run_cells_sharing_draws_equals_each_job_alone():
     alone = [trace_stats(engine_run(config, make_policy(kind, config), stop),
                          warmup_fraction=warmup)
              for config, kind, stop, warmup in jobs]
-    assert run_cells(jobs) == alone
     order = sorted(range(len(jobs)), key=lambda i: (i % 9, i))
-    assert run_cells([jobs[i] for i in order]) == [alone[i] for i in order]
+    for ordered in (range(len(jobs)), order):
+        batch, expected = [jobs[i] for i in ordered], [alone[i] for i in ordered]
+        assert run_cells(batch) == expected
+        assert run_cells(batch, parallel=2) == expected
+
+
+def _draws_anew(config) -> bool:
+    sim = Simulation(config, make_policy(PolicyKind.FCFS, config))
+    return len(sim.draws.values) == 0
 
 
 def test_run_cells_keeps_no_draws_after_it_returns():
     config = case2_config(0.5, 1)
-    run_cells([(config, PolicyKind.FCFS, StopRule(max_messages=100), 0.2)])
-    sim = Simulation(config, make_policy(PolicyKind.FCFS, config))
-    assert len(sim.draws.values) == 0
+    job = (config, PolicyKind.FCFS, StopRule(max_messages=100), 0.2)
+    run_cells([job])
+    assert _draws_anew(config)
+    run_cells([job, job], parallel=2)
+    assert _draws_anew(config)
+    # fcfs drives one collector, so the second job fails on a fleet config
+    # of the same seed, after the first job drew its arrivals
+    fleet, stop = fleet_config(0.5, 1), StopRule(max_messages=100)
+    with pytest.raises(ConfigurationError, match="drives a single collector"):
+        run_cells([(fleet, PolicyKind.MULTI_PARTITIONING, stop, 0.2),
+                   (fleet, PolicyKind.FCFS, stop, 0.2)])
+    assert _draws_anew(config)
 
 
 def test_run_experiment_empty_loads_writes_header_only(tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import pickle
+import threading
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,8 +11,8 @@ import pytest
 
 from collectsim.core import ConfigurationError, ContractViolation, distance
 from collectsim.engine import (WAIT, ArrivalDraws, EventTrace, Receive,
-                               Simulation, StopRule, TravelTo, Wait, run,
-                               shared_arrivals, step_policy)
+                               Simulation, StopRule, TravelTo, Wait,
+                               forget_arrivals, run, step_policy)
 from collectsim.policies import PolicyKind, make_policy
 from collectsim.stats import occupancy_steps, wait_split
 
@@ -54,34 +55,47 @@ def test_simulation_arrivals_match_generator():
     # the engine's stream, message by message: per arrival one exponential
     # gap of mean 1/lambda, then x, then y, uniform on the square; the
     # second rate replays the first run's draws of the same seed
-    with shared_arrivals():
-        for load in (0.5, 0.8):
-            cfg = reception_queue_config(load, seed=42)
-            sim = Simulation(cfg, _grid_policy(cfg),
-                             StopRule(max_messages=300))
-            trace = sim.run()
-            assert len(trace.messages) >= 300
-            rng = np.random.default_rng(cfg.seed)
-            t = 0.0
-            for msg in trace.messages:
-                t += rng.exponential(1.0 / cfg.arrival_rate)
-                x, y = cfg.side * rng.random(), cfg.side * rng.random()
-                assert msg.arrival_time == t
-                assert msg.location == complex(x, y)
+    kept = []
+    for load in (0.5, 0.8):
+        cfg = reception_queue_config(load, seed=42)
+        sim = Simulation(cfg, _grid_policy(cfg),
+                         StopRule(max_messages=300))
+        kept.append(sim.draws)
+        trace = sim.run()
+        assert len(trace.messages) >= 300
+        rng = np.random.default_rng(cfg.seed)
+        t = 0.0
+        for msg in trace.messages:
+            t += rng.exponential(1.0 / cfg.arrival_rate)
+            x, y = cfg.side * rng.random(), cfg.side * rng.random()
+            assert msg.arrival_time == t
+            assert msg.location == complex(x, y)
+    assert kept[1] is kept[0]
 
 
-def test_shared_arrivals_keep_the_latest_seeds_draws():
+def test_a_thread_keeps_its_latest_seeds_draws():
     cfg = case2_config(0.5, seed=1)
-    with shared_arrivals():
-        first = Simulation(cfg, _grid_policy(cfg)).draws
-        other_rate = Simulation(replace(cfg, arrival_rate=0.4),
-                                _fcfs(cfg)).draws
-        other_seed = Simulation(replace(cfg, seed=2), _fcfs(cfg)).draws
-        again = Simulation(cfg, _grid_policy(cfg)).draws
+    first = Simulation(cfg, _grid_policy(cfg)).draws
+    other_rate = Simulation(replace(cfg, arrival_rate=0.4), _fcfs(cfg)).draws
+    other_seed = Simulation(replace(cfg, seed=2), _fcfs(cfg)).draws
+    again = Simulation(cfg, _grid_policy(cfg)).draws
+    forget_arrivals()
     after = Simulation(cfg, _grid_policy(cfg)).draws
     assert other_rate is first
     assert other_seed.seed == 2 and again.seed == 1
     assert again is not first and after is not again
+
+
+def test_another_thread_does_not_get_this_threads_draws():
+    cfg = case2_config(0.5, seed=1)
+    here = Simulation(cfg, _grid_policy(cfg)).draws
+    there = []
+    thread = threading.Thread(
+        target=lambda: there.append(Simulation(cfg, _grid_policy(cfg)).draws))
+    thread.start()
+    thread.join()
+    assert there[0].seed == 1 and there[0] is not here
+    assert Simulation(cfg, _grid_policy(cfg)).draws is here
 
 
 # -- same-instant event order ------------------------------------------------------
