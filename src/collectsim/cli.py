@@ -319,7 +319,9 @@ def run_cells(jobs, parallel: int = 1) -> list[TraceStats]:
         if parallel > 1 and len(jobs) > 1:
             # imported here: it loads multiprocessing, which serial calls skip
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=parallel) as pool:
+            # under fork the pool starts all its workers at the first submit
+            workers = min(parallel, len(jobs))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 return list(pool.map(_run_cell, jobs, chunksize=1))
         return [_run_cell(job) for job in jobs]
     finally:

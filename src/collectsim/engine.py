@@ -99,8 +99,8 @@ class CollectorState:
 
 @dataclass(frozen=True, slots=True)
 class StopRule:
-    """Stop after a completed-message target, a time horizon, or both
-    (whichever comes first).
+    """A run stops when ``max_messages`` messages have completed, or earlier
+    at its divergence cutoff.
 
     The divergence trigger is always armed. Its default level is scaled to
     the queueing-only occupancy (generous for policies whose wait is mostly
@@ -108,18 +108,12 @@ class StopRule:
     (long tours at high load) may need an explicit ``divergence_threshold``.
     """
 
-    max_messages: int | None = None
-    horizon: float | None = None
+    max_messages: int
     divergence_threshold: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_messages is None and self.horizon is None:
-            raise ConfigurationError(
-                "stop rule needs a message target or a horizon")
-        if self.max_messages is not None and self.max_messages <= 0:
+        if self.max_messages <= 0:
             raise ConfigurationError("message target must be positive")
-        if self.horizon is not None and self.horizon <= 0:
-            raise ConfigurationError("horizon must be positive")
         if (self.divergence_threshold is not None
                 and self.divergence_threshold <= 0):
             raise ConfigurationError("divergence threshold must be positive")
@@ -191,7 +185,8 @@ def forget_arrivals() -> None:
 
 
 class Simulation:
-    """Mutable world state, visible read-only to policies.
+    """Mutable world state, visible read-only to policies, simulated until
+    ``stop``'s message target or the divergence cutoff.
 
     Policies may inspect ``time``, ``messages``, ``collectors``, ``radius``,
     ``config`` and ``next_arrival_time``; all mutation goes through the
@@ -207,10 +202,10 @@ class Simulation:
     run's results do not depend on which other runs shared them."""
 
     def __init__(self, config: ScenarioConfig, policy: Policy,
-                 stop: StopRule | None = None) -> None:
+                 stop: StopRule) -> None:
         self.config = config
         self.policy = policy
-        self.stop = stop if stop is not None else StopRule(max_messages=50_000)
+        self.stop = stop
         self.radius = reception_radius(config.snr_ref, config.snr_threshold,
                                        config.path_loss)
         self.draws = _latest.get()
@@ -250,7 +245,8 @@ class Simulation:
     # -- main loop
 
     def run(self) -> EventTrace:
-        """Handle events in time order until the stop rule fires. Each ends
+        """Handle events in time order until ``stop.max_messages`` messages
+        have completed or an arrival crosses the divergence cutoff. Each ends
         with one idle scan: after an arrival over every collector in id order,
         after a leg or a reception only over its own collector."""
         policy = self.policy
@@ -264,8 +260,7 @@ class Simulation:
         self.next_arrival_time = mean_gap * values[0]
         # looked up here, not at import, so a patched module attribute holds
         step, on_arrival = step_policy, policy.on_arrival
-        horizon, target = self.stop.horizon, self.stop.max_messages
-        threshold = self.divergence_threshold
+        target, threshold = self.stop.max_messages, self.divergence_threshold
         speed, reception_time = self.config.speed, self.config.reception_time
         messages, completed, collectors = (self.messages, self.completed,
                                            self.collectors)
@@ -277,9 +272,6 @@ class Simulation:
                 time, kind, _, ref = heappop(heap)
             else:
                 time, ref = self.next_arrival_time, -1
-            if horizon is not None and time > horizon:
-                end_time = horizon
-                break
             self.time = time
             if ref < 0:
                 k = 3 * len(messages)
@@ -303,7 +295,7 @@ class Simulation:
                 completed.append(msg)
                 c = collectors[msg.collector]
                 c.phase = "idle"
-                if target is not None and len(completed) >= target:
+                if len(completed) >= target:
                     end_time = time
                     break
                 scan = (c,)
@@ -372,9 +364,9 @@ def step_policy(policy: Policy, sim: Simulation, collector_id: int) -> Action:
     return action
 
 
-def run(config: ScenarioConfig, policy: Policy,
-        stop: StopRule | None = None) -> EventTrace:
-    """Simulate one scenario under one policy until the stop rule fires.
+def run(config: ScenarioConfig, policy: Policy, stop: StopRule) -> EventTrace:
+    """Simulate one scenario under one policy until it completes
+    ``stop.max_messages`` messages or reaches its divergence cutoff.
 
     A fresh policy instance is expected per run; the policy's ``attach``
     resets its state and may reposition collectors before time zero.

@@ -359,7 +359,8 @@ def test_run_cells_sharing_draws_equals_each_job_alone():
 
 
 def _draws_anew(config) -> bool:
-    sim = Simulation(config, make_policy(PolicyKind.FCFS, config))
+    sim = Simulation(config, make_policy(PolicyKind.FCFS, config),
+                     StopRule(max_messages=1))
     return len(sim.draws.values) == 0
 
 
@@ -377,6 +378,33 @@ def test_run_cells_keeps_no_draws_after_it_returns():
         run_cells([(fleet, PolicyKind.MULTI_PARTITIONING, stop, 0.2),
                    (fleet, PolicyKind.FCFS, stop, 0.2)])
     assert _draws_anew(config)
+
+
+def test_run_cells_starts_no_more_workers_than_jobs(monkeypatch):
+    # a pool records its size and maps in this process: no worker starts
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    jobs = [(case2_config(0.5, seed), PolicyKind.FCFS,
+             StopRule(max_messages=50), 0.2) for seed in (1, 2, 3)]
+    serial = run_cells(jobs)
+    assert run_cells(jobs, parallel=500) == serial
+    assert run_cells(jobs, parallel=2) == serial
+    assert sizes == [3, 2]
 
 
 def test_run_experiment_empty_loads_writes_header_only(tmp_path):

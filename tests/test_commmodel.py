@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from collectsim.commmodel import in_range, reception_point, reception_radius
 from collectsim.core import ConfigurationError, ScenarioConfig, distance
-from collectsim.engine import Simulation
+from collectsim.engine import Simulation, StopRule
 from collectsim.policies import make_policy
 
 
@@ -121,5 +121,5 @@ def test_simulation_radius_for_scenario():
     cfg = ScenarioConfig(area=60.0, arrival_rate=0.25, reception_time=2.0,
                          speed=10.0, snr_ref=10.0 ** 1.7, snr_threshold=2.0,
                          path_loss=4.0, collectors=1, seed=0)
-    sim = Simulation(cfg, make_policy("fcfs", cfg))
+    sim = Simulation(cfg, make_policy("fcfs", cfg), StopRule(max_messages=1))
     assert sim.radius == pytest.approx(2.2373941648, abs=1e-9)

@@ -32,20 +32,20 @@ def _fcfs(cfg):
 
 
 def test_stop_rule_requires_some_stop():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(TypeError):
         StopRule()
     with pytest.raises(ConfigurationError):
         StopRule(max_messages=0)
     with pytest.raises(ConfigurationError):
-        StopRule(horizon=-1.0)
-    with pytest.raises(ConfigurationError):
         StopRule(max_messages=10, divergence_threshold=0.0)
+    cfg = case2_config(0.5, seed=1)
+    with pytest.raises(TypeError):
+        Simulation(cfg, _grid_policy(cfg))
 
 
 def test_stop_rule_accepts_combinations():
     StopRule(max_messages=5)
-    StopRule(horizon=10.0)
-    StopRule(max_messages=5, horizon=10.0, divergence_threshold=100.0)
+    StopRule(max_messages=5, divergence_threshold=100.0)
 
 
 # -- arrival stream ---------------------------------------------------------------
@@ -73,14 +73,18 @@ def test_simulation_arrivals_match_generator():
     assert kept[1] is kept[0]
 
 
+_ONE = StopRule(max_messages=1)
+
+
 def test_a_thread_keeps_its_latest_seeds_draws():
     cfg = case2_config(0.5, seed=1)
-    first = Simulation(cfg, _grid_policy(cfg)).draws
-    other_rate = Simulation(replace(cfg, arrival_rate=0.4), _fcfs(cfg)).draws
-    other_seed = Simulation(replace(cfg, seed=2), _fcfs(cfg)).draws
-    again = Simulation(cfg, _grid_policy(cfg)).draws
+    first = Simulation(cfg, _grid_policy(cfg), _ONE).draws
+    other_rate = Simulation(replace(cfg, arrival_rate=0.4), _fcfs(cfg),
+                            _ONE).draws
+    other_seed = Simulation(replace(cfg, seed=2), _fcfs(cfg), _ONE).draws
+    again = Simulation(cfg, _grid_policy(cfg), _ONE).draws
     forget_arrivals()
-    after = Simulation(cfg, _grid_policy(cfg)).draws
+    after = Simulation(cfg, _grid_policy(cfg), _ONE).draws
     assert other_rate is first
     assert other_seed.seed == 2 and again.seed == 1
     assert again is not first and after is not again
@@ -88,14 +92,14 @@ def test_a_thread_keeps_its_latest_seeds_draws():
 
 def test_another_thread_does_not_get_this_threads_draws():
     cfg = case2_config(0.5, seed=1)
-    here = Simulation(cfg, _grid_policy(cfg)).draws
+    here = Simulation(cfg, _grid_policy(cfg), _ONE).draws
     there = []
-    thread = threading.Thread(
-        target=lambda: there.append(Simulation(cfg, _grid_policy(cfg)).draws))
+    thread = threading.Thread(target=lambda: there.append(
+        Simulation(cfg, _grid_policy(cfg), _ONE).draws))
     thread.start()
     thread.join()
     assert there[0].seed == 1 and there[0] is not here
-    assert Simulation(cfg, _grid_policy(cfg)).draws is here
+    assert Simulation(cfg, _grid_policy(cfg), _ONE).draws is here
 
 
 # -- same-instant event order ------------------------------------------------------
@@ -189,19 +193,23 @@ class _Scripted:
 
 
 def _scripted_run(script, gaps, collectors=3):
-    # reception time 2, every message at the center, where collectors start
+    # reception time 2, every message at the center, where collectors start;
+    # each script receives both messages, so the run stops at the second
+    # reception's end, before the quiet spell
     cfg = replace(reception_queue_config(0.5, seed=0), reception_time=2.0,
                   collectors=collectors)
     policy = _Scripted(script)
-    sim = Simulation(cfg, policy, StopRule(horizon=20.0))
+    sim = Simulation(cfg, policy, StopRule(max_messages=2))
     sim.draws = _scripted_draws(gaps)
-    sim.run()
+    assert sim.run().end_time < 20.0
     return policy.asked
 
 
 def test_an_arrival_asks_every_idle_collector_in_id_order():
-    # arrivals at 1, 1.5 and 4; collector 1 receives message 0 from 1 to 3
-    asked = _scripted_run({(1.0, 1): ("receive", 0)}, [1.0, 0.5, 2.5])
+    # arrivals at 1, 1.5 and 4; collector 1 receives message 0 from 1 to 3,
+    # collector 0 message 1 from 4 to 6
+    script = {(1.0, 1): ("receive", 0), (4.0, 0): ("receive", 1)}
+    asked = _scripted_run(script, [1.0, 0.5, 2.5])
     assert [(t, c) for t, c, _ in asked] == [
         (1.0, 0), (1.0, 1), (1.0, 2),
         (1.5, 0), (1.5, 2),  # collector 1 is busy: not asked
@@ -214,8 +222,9 @@ def test_an_arrival_asks_every_idle_collector_in_id_order():
 def test_a_wait_leaves_the_collector_idle_until_the_next_arrival():
     # collector 0 waits at 1 while collector 1 travels from 1 to 2 and
     # receives from 2 to 4: collector 0 is asked again only at the arrival
-    # at 5, and stayed idle meanwhile
-    script = {(1.0, 1): ("travel", 1.0), (2.0, 1): ("receive", 0)}
+    # at 5, and stayed idle meanwhile; collector 1 then receives message 1
+    script = {(1.0, 1): ("travel", 1.0), (2.0, 1): ("receive", 0),
+              (5.0, 1): ("receive", 1)}
     asked = _scripted_run(script, [1.0, 4.0], collectors=2)
     assert [(t, c) for t, c, _ in asked] == [
         (1.0, 0), (1.0, 1), (2.0, 1), (4.0, 1), (5.0, 0), (5.0, 1)]
@@ -226,9 +235,9 @@ def test_same_instant_events_go_receptions_first_then_by_scheduling():
     # all three end at 3: collector 1's leg is scheduled at 1, before
     # collector 2's reception and collector 0's leg (at the arrival at 2);
     # the reception goes first, then the legs in the order they were
-    # scheduled, not by collector id
+    # scheduled, not by collector id; collector 0 then receives message 1
     script = {(1.0, 1): ("travel", 2.0), (1.0, 2): ("receive", 0),
-              (2.0, 0): ("travel", 1.0)}
+              (2.0, 0): ("travel", 1.0), (3.0, 0): ("receive", 1)}
     asked = _scripted_run(script, [1.0, 1.0])
     assert [(t, c) for t, c, _ in asked if t == 3.0] == [
         (3.0, 2), (3.0, 1), (3.0, 0)]
@@ -345,24 +354,6 @@ def test_message_target_stops_exactly():
     assert len(trace.messages) >= 123
 
 
-def test_horizon_stops_clock():
-    cfg = case2_config(0.5, seed=1)
-    trace = run(cfg, _grid_policy(cfg), StopRule(horizon=200.0))
-    assert trace.end_time == 200.0
-    assert all(m.departure_time <= 200.0 for m in trace.completed)
-    assert all(m.arrival_time <= 200.0 for m in trace.completed)
-
-
-def test_earlier_of_target_and_horizon_wins():
-    cfg = case2_config(0.5, seed=1)
-    by_target = run(cfg, _grid_policy(cfg),
-                    StopRule(max_messages=50, horizon=1e9))
-    assert len(by_target.completed) == 50
-    by_horizon = run(cfg, _grid_policy(cfg),
-                     StopRule(max_messages=10 ** 9, horizon=100.0))
-    assert by_horizon.end_time == 100.0
-
-
 def test_default_divergence_threshold_scales_with_load():
     cfg = case2_config(0.95, seed=1)
     sim = Simulation(cfg, _grid_policy(cfg), StopRule(max_messages=10))
@@ -407,8 +398,6 @@ def _cutoff_cases():
         "fleet_ties": (fleet_config(0.9, seed=1),
                        PolicyKind.MULTI_PARTITIONING,
                        StopRule(max_messages=4000)),
-        "horizon": (case2_config(0.8, seed=3), PolicyKind.GRID_PARTITIONING,
-                    StopRule(horizon=2000.0)),
     }
 
 
@@ -425,8 +414,6 @@ def test_diverged_is_exactly_occupancy_over_the_threshold(case):
         # completion order is departure-time order, ties included, so
         # cli.dump_messages writes trace.completed unsorted
         assert departures == sorted(departures)
-    if case == "horizon":
-        assert trace.end_time == stop.horizon
     occ = occupancy_steps([m.arrival_time for m in trace.messages],
                           departures)
     assert (occ[:, 1].max() > sim.divergence_threshold) == trace.diverged

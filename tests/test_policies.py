@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from collectsim import policies
+from collectsim.commmodel import reception_point, reception_radius
 from collectsim.core import ConfigurationError, ScenarioConfig, distance
 from collectsim.engine import (WAIT, Receive, Simulation, StopRule, TravelTo,
                                run)
@@ -15,8 +16,8 @@ from collectsim.policies import (Fcfs, FcfsReturn, GridPartitioning,
                                  make_policy)
 from collectsim.stats import wait_split
 
-from matrixlib import (case2_config, fleet_config, reception_queue_config,
-                       wide_region_config)
+from matrixlib import (case1_config, case2_config, fleet_config,
+                       reception_queue_config, wide_region_config)
 
 R_WIDE = 2.2  # reception radius of the wide_region scenarios
 
@@ -50,7 +51,7 @@ def test_make_policy_validates_collector_count():
         make_policy("no_such_policy", multi_cfg)
     # each collector sweeps its own fleet cell, from that cell's corner
     pol = make_policy("multi_partitioning", multi_cfg)
-    pol.attach(Simulation(multi_cfg, pol))
+    pol.attach(Simulation(multi_cfg, pol, StopRule(max_messages=1)))
     half = pol.fleet.cell_side / 2.0
     assert len(pol.inners) == pol.fleet.num_cells
     for i, inner in enumerate(pol.inners):
@@ -169,6 +170,34 @@ def test_fcfs_faster_collector_departs_no_later():
         assert a.departure_time <= b.departure_time + 1e-9
 
 
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("kind", ["fcfs", "fcfs_return"])
+@pytest.mark.parametrize("make_config, load", [
+    (case2_config, 0.3), (case2_config, 0.5), (case2_config, 0.8),
+    (case1_config, 0.1)])
+def test_arrival_order_service_follows_its_recursion(kind, make_config,
+                                                     load, seed):
+    # message i is received from the point P_i nearest to where the
+    # collector stands: start_i = max(A_i, free) + |pos - P_i| / v and
+    # D_i = start_i + s. fcfs waits at P_i; fcfs_return drives back to the
+    # center first, so it is free again only after the return leg
+    cfg = make_config(load, seed=seed)
+    trace = run(cfg, make_policy(kind, cfg), StopRule(max_messages=5000))
+    radius = reception_radius(cfg.snr_ref, cfg.snr_threshold, cfg.path_loss)
+    n = len(trace.completed)
+    assert n == 5000 and trace.completed == trace.messages[:n]
+    pos, free = cfg.center, 0.0
+    for m in trace.completed:
+        point = reception_point(pos, m.location, radius)
+        start = max(m.arrival_time, free) + distance(pos, point) / cfg.speed
+        assert m.reception_start == start
+        assert m.departure_time == start + cfg.reception_time
+        pos, free = point, m.departure_time
+        if kind == "fcfs_return":
+            pos = cfg.center
+            free += distance(point, pos) / cfg.speed
+
+
 # -- epoch tour service ---------------------------------------------------------------
 
 
@@ -249,19 +278,26 @@ def test_grid_sweep_hops_are_always_one_cell_side():
     assert hops > 0
 
 
+# at load 0.01 the sweep rarely holds two messages: the divergence cutoff
+# at 1.5 stops the run (at about 926, the target cannot come first) while
+# the collector drives between cells
+_CYCLING_STOP = StopRule(max_messages=1000, divergence_threshold=1.5)
+
+
 def test_grid_sweep_keeps_cycling_while_idle():
     cfg = _two_by_two_config(0.01, seed=12)
     pol = make_policy("grid_partitioning", cfg)
-    sim = Simulation(cfg, pol, StopRule(horizon=400.0))
+    sim = Simulation(cfg, pol, _CYCLING_STOP)
     trace = sim.run()
     assert len(trace.messages) >= 1
+    assert trace.diverged and sim.collectors[0].phase == "traveling"
     first = sim.messages[0].arrival_time
     # from the first dispatch onward the collector never stands still: all
     # time after the first arrival is spent traveling or receiving
     busy = trace.total_travel_distance / cfg.speed + wait_split(trace)[2]
     idle_before = first
     slack = pol.grid.cell_side / cfg.speed + cfg.reception_time
-    assert busy >= (400.0 - idle_before) - slack
+    assert busy >= (trace.end_time - idle_before) - slack
 
 
 def test_grid_sweep_parks_when_one_cell_covers_everything():
@@ -283,14 +319,15 @@ def test_grid_sweep_parks_at_infinite_speed_when_empty():
 
 
 def test_grid_sweep_is_busy_from_first_arrival_to_horizon():
-    # the leg in flight at the horizon is billed up to the horizon
+    # the leg in flight at the run's end (its horizon) is billed up to it
     cfg = _two_by_two_config(0.01, seed=12)
     sim = Simulation(cfg, make_policy("grid_partitioning", cfg),
-                     StopRule(horizon=400.0))
+                     _CYCLING_STOP)
     trace = sim.run()
+    assert sim.collectors[0].phase == "traveling"
     busy = trace.total_travel_distance / cfg.speed + wait_split(trace)[2]
-    assert busy == pytest.approx(400.0 - sim.messages[0].arrival_time,
-                                 abs=1e-9)
+    assert busy == pytest.approx(
+        trace.end_time - sim.messages[0].arrival_time, abs=1e-9)
 
 
 class _HopByHopGrid(GridPartitioning):
@@ -413,6 +450,23 @@ def test_multi_partitioning_keeps_collectors_in_their_quadrant():
     sim.run()
     for i, c in enumerate(sim.collectors):
         assert pol.fleet.cell_of(c.position) == i
+
+
+@pytest.mark.parametrize("load", [0.01, 0.05, 0.5])
+def test_fleet_stopped_at_its_target_bills_every_leg_in_flight(load):
+    # every collector sweeps without pause from the first arrival, so its
+    # travel and receiving time add up to the run after it; legs still in
+    # flight when the last reception ends count up to that instant
+    cfg = fleet_config(load, seed=1)
+    sim = Simulation(cfg, make_policy("multi_partitioning", cfg),
+                     StopRule(max_messages=200))
+    trace = sim.run()
+    assert not trace.diverged
+    assert any(c.phase == "traveling" for c in sim.collectors)
+    busy = trace.total_travel_distance / cfg.speed + wait_split(trace)[2]
+    assert busy == pytest.approx(
+        cfg.collectors * (trace.end_time - trace.messages[0].arrival_time),
+        rel=1e-12)
 
 
 def test_multi_partitioning_rejects_nonsquare_fleet_on_attach():
