@@ -5,7 +5,9 @@ point that enters every message's reception disk. Two planners are provided:
 a sweep over the covering grid's nonempty cells (bounded length regardless of
 batch size) and a nearest-disk greedy construction polished by 2-opt, which
 wins when messages are few or clustered. ``plan_tour`` plans the greedy tour
-first and skips the sweep where a bound shows it cannot win. Every 2-opt
+first and skips the sweep where it is shorter than the larger of two lower
+bounds on the sweep: out to the farthest nonempty cell center and back, and
+one cell side per nonempty cell when there are two or more. Every 2-opt
 round re-projects the stops from its first reversed one on, and the cells'
 visit ranks and centers come from tables cached per grid.
 """
@@ -117,6 +119,8 @@ def grid_cover_tour(messages: Sequence, grid: RegionGrid,
 # area 800 (CHANGES.md). Both return the same stops, each where
 # reception_point puts it and serving what in_range accepts there: all measure
 # with the C library's hypot, which abs() of a complex calls and np.hypot too.
+# np.abs of a complex array does not: it differs from np.hypot in the last bit
+# on about a third of random pairs (numpy 2.4), so the arrays keep np.hypot.
 _FLOAT_GREEDY_MAX = 96
 # Stop lists up to this many stops run the 2-opt pass as a double loop over
 # the points, longer ones on numpy arrays: 16 is where the two cost the
@@ -143,15 +147,29 @@ def _greedy_stops_float(messages: Sequence, radius: float, start: complex
     run: list[float] = []
     while ids:
         # the first message of least excess distance max(d - radius, 0), as
-        # np.argmin picks it
-        cut = max(min(dist) - radius, 0.0)
-        k = next(q for q, d in enumerate(dist) if d - radius <= cut)
+        # np.argmin picks it: the first of least distance, unless the next
+        # float up rounds to the same excess. Within the radius any message
+        # will do, as reception_point leaves the collector in place for each.
+        least = min(dist)
+        if least <= radius or (math.nextafter(least, math.inf) - radius
+                               > least - radius):
+            k = dist.index(least)
+        else:
+            cut = least - radius
+            k = next(q for q, d in enumerate(dist) if d - radius <= cut)
         point = reception_point(here, zs[k], radius)
         if point is not here:
             length += distance(here, point)
             here = point
             dist = [abs(z - here) for z in zs]
-        served = [q for q, d in enumerate(dist) if d <= slack]
+        # reception_point leaves k in range; scan for the others only if
+        # one is in range too
+        aimed, dist[k] = dist[k], math.inf
+        if min(dist) > slack:
+            served = [k]
+        else:
+            dist[k] = aimed
+            served = [q for q, d in enumerate(dist) if d <= slack]
         stops.append((here, [ids[q] for q in served]))
         run.append(length)
         # served messages leave the lists, the rest keep their order
@@ -232,8 +250,8 @@ def _two_opt_move_array(points: list[complex],
                         start: complex) -> tuple[int, int] | None:
     import numpy as np
     n = len(points)
-    xs = np.array([start.real, *(p.real for p in points), start.real])
-    ys = np.array([start.imag, *(p.imag for p in points), start.imag])
+    closed = np.array([start, *points, start])
+    xs, ys = closed.real, closed.imag
     edge = np.hypot(np.diff(xs), np.diff(ys))  # edge[i] = |P[i] P[i+1]|
     rows = max(1, _TWO_OPT_BLOCK // n)
     best_gain, best_move = 1e-9, None
@@ -284,15 +302,17 @@ def nn_tspn_tour(messages: Sequence, radius: float, start: complex) -> Tour:
     """
     if not messages:
         return Tour((), 0.0, start, "tspn")
-    by_id = {m.id: m.location for m in messages}
     if len(messages) <= _FLOAT_GREEDY_MAX:
         best, run, best_len = _greedy_stops_float(messages, radius, start)
     else:
         best, run, best_len = _greedy_stops_array(messages, radius, start)
+    by_id = None  # built at the first move; most short tours make none
     for _ in range(8):
         move = _two_opt_move([p for p, _ in best], start)
         if move is None:
             break
+        if by_id is None:
+            by_id = {m.id: m.location for m in messages}
         i, j = move
         candidate, cand_run, cand_len = _reproject(
             best[:i - 1] + best[i - 1:j][::-1] + best[j:], radius, start,
@@ -309,15 +329,22 @@ def plan_tour(messages: Sequence, grid: RegionGrid, radius: float,
               start: complex | None = None) -> Tour:
     """Plan the shorter of the grid sweep and the greedy disk tour, the sweep
     on ties. The sweep is at least twice as long as its farthest cell center
-    is from the start, and is not planned where the greedy tour is shorter."""
+    is from the start, and at least one cell side per cell when it visits two
+    or more: distinct centers lie a cell side apart or more, and the two
+    edges at the start are together no shorter than the hop they replace. It
+    is not planned where the greedy tour is shorter than the larger bound,
+    less a 1e-9 relative margin for round-off."""
     if start is None:
         start = grid.center
     if not messages:
         return Tour((), 0.0, start, "empty")
     greedy = nn_tspn_tour(messages, radius, start)
     centers = _cycle_tables(grid)[1]
-    if any(greedy.total_length < 2.0 * (1.0 - 1e-9) * distance(
-            start, centers[grid.cell_of(m.location)]) for m in messages):
+    cells = {grid.cell_of(m.location) for m in messages}
+    bound = 2.0 * max(distance(start, centers[cell]) for cell in cells)
+    if len(cells) > 1:
+        bound = max(bound, len(cells) * grid.cell_side)
+    if greedy.total_length < (1.0 - 1e-9) * bound:
         return greedy
     cover = grid_cover_tour(messages, grid, start)
     return greedy if greedy.total_length < cover.total_length else cover

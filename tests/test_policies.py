@@ -4,9 +4,12 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from collectsim import policies
+from collectsim.bounds import (_sec_cubed_antiderivative,
+                               expected_excess_distance)
 from collectsim.commmodel import reception_point, reception_radius
 from collectsim.core import ConfigurationError, ScenarioConfig, distance
 from collectsim.engine import (WAIT, Receive, Simulation, StopRule, TravelTo,
@@ -16,8 +19,9 @@ from collectsim.policies import (Fcfs, FcfsReturn, GridPartitioning,
                                  make_policy)
 from collectsim.stats import wait_split
 
-from matrixlib import (case1_config, case2_config, fleet_config,
-                       reception_queue_config, wide_region_config)
+from matrixlib import (FCFS_LOADS, case1_config, case2_config, find_cells,
+                       fleet_config, reception_queue_config,
+                       wide_region_config)
 
 R_WIDE = 2.2  # reception radius of the wide_region scenarios
 
@@ -196,6 +200,83 @@ def test_arrival_order_service_follows_its_recursion(kind, make_config,
         if kind == "fcfs_return":
             pos = cfg.center
             free += distance(point, pos) / cfg.speed
+
+
+def _excess_second_moment(area: float, radius: float) -> float:
+    """E[max(0, |U - center| - radius)^2] for U uniform on the square, by
+    the polar integral of ``expected_excess_distance``: at angle theta the
+    edge lies at R = half*sec(theta), and the ray contributes R^4/4 -
+    2 radius R^3/3 + radius^2 R^2/2 - radius^4/12, which the sec^4, sec^3
+    and sec^2 antiderivatives integrate over one eighth of the square."""
+    half = math.sqrt(area) / 2.0
+    if radius >= half * math.sqrt(2.0):
+        return 0.0
+    theta0 = math.acos(half / radius) if radius > half else 0.0
+
+    def sec4(theta):
+        tan = math.tan(theta)
+        return tan + tan ** 3 / 3.0
+
+    eighth = (
+        half ** 4 / 4.0 * (sec4(math.pi / 4.0) - sec4(theta0))
+        - 2.0 * radius * half ** 3 / 3.0
+        * (_sec_cubed_antiderivative(math.pi / 4.0)
+           - _sec_cubed_antiderivative(theta0))
+        + radius ** 2 * half ** 2 / 2.0 * (1.0 - math.tan(theta0))
+        - radius ** 4 / 12.0 * (math.pi / 4.0 - theta0))
+    return 8.0 * eighth / area
+
+
+def _fcfs_return_moments(cfg) -> tuple[float, float, float]:
+    """E[e], E[e^2] and the service time S = s + 2e/v of fcfs_return's
+    M/G/1 queue: E[S] and E[S^2] from the excess distance e."""
+    radius = reception_radius(cfg.snr_ref, cfg.snr_threshold, cfg.path_loss)
+    e1 = expected_excess_distance(cfg.area, radius)
+    e2 = _excess_second_moment(cfg.area, radius)
+    s, v = cfg.reception_time, cfg.speed
+    return e1, s + 2.0 * e1 / v, s * s + 4.0 * s * e1 / v + 4.0 * e2 / v ** 2
+
+
+def _pk_fcfs_return_delay(cfg) -> float:
+    """Pollaczek-Khinchine mean delay of fcfs_return: the queueing wait,
+    the drive out to the reception disk and the reception."""
+    e1, es, es2 = _fcfs_return_moments(cfg)
+    lam = cfg.arrival_rate
+    return lam * es2 / (2.0 * (1.0 - lam * es)) + e1 / cfg.speed + (
+        cfg.reception_time)
+
+
+@pytest.mark.parametrize("area, radius", [(60.0, 2.2373941648), (60.0, 4.5),
+                                          (60.0, 6.0), (800.0, 2.24)])
+def test_excess_second_moment_matches_quadrature(area, radius):
+    # midpoint rule on a 4000 x 4000 grid, by symmetry on one quadrant
+    half = math.sqrt(area) / 2.0
+    x = (np.arange(2000) + 0.5) * (half / 2000)
+    e = np.hypot(x[:, None], x[None, :])
+    e -= radius
+    np.maximum(e, 0.0, out=e)
+    assert _excess_second_moment(area, radius) == pytest.approx(
+        float(np.mean(np.square(e, out=e))), rel=1e-5)
+
+
+def test_fcfs_return_moments_on_case2():
+    cfg = case2_config(0.5, seed=0)
+    _, es, _ = _fcfs_return_moments(cfg)
+    radius = reception_radius(cfg.snr_ref, cfg.snr_threshold, cfg.path_loss)
+    assert _excess_second_moment(cfg.area, radius) == pytest.approx(
+        1.525809, abs=1e-6)
+    # stable below rho* = s / E[S]
+    assert cfg.reception_time / es == pytest.approx(0.91561, abs=1e-5)
+
+
+@pytest.mark.parametrize("load", FCFS_LOADS)
+def test_fcfs_return_delay_is_the_pk_mean(sweep_matrix, load):
+    cell, = find_cells(sweep_matrix, scenario="case2", policy="fcfs_return",
+                       load=load)
+    assert cell.verdicts == ("stable",) * len(cell.seeds)
+    res = cell.result
+    assert abs(res.mean_delay - _pk_fcfs_return_delay(cell.config)) <= (
+        res.delay_ci)
 
 
 # -- epoch tour service ---------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from collectsim import tspn
-from collectsim.commmodel import in_range, reception_point
+from collectsim.commmodel import _RANGE_SLACK, in_range, reception_point
 from collectsim.core import (Message, RegionGrid, build_grid, distance,
                              uniform_point)
 from collectsim.tspn import (Tour, TourStop, grid_cover_tour, nn_tspn_tour,
@@ -355,6 +355,78 @@ def test_stop_points_are_plain_floats(monkeypatch, path):
         assert type(stop.point) is complex
 
 
+def _scan_greedy_stops(messages, radius: float, start: complex):
+    """The float greedy with a full scan for each stop's message and for the
+    messages it serves: the reference its shortcuts must agree with."""
+    slack = radius * (1.0 + _RANGE_SLACK)
+    ids = [m.id for m in messages]
+    zs = [m.location for m in messages]
+    here = start
+    dist = [abs(z - here) for z in zs]
+    length = 0.0
+    stops, run = [], []
+    while ids:
+        cut = max(min(dist) - radius, 0.0)
+        k = next(q for q, d in enumerate(dist) if d - radius <= cut)
+        point = reception_point(here, zs[k], radius)
+        if point is not here:
+            length += distance(here, point)
+            here = point
+            dist = [abs(z - here) for z in zs]
+        served = [q for q, d in enumerate(dist) if d <= slack]
+        stops.append((here, [ids[q] for q in served]))
+        run.append(length)
+        for q in reversed(served):
+            del ids[q], zs[q], dist[q]
+    return stops, run, length + distance(here, start)
+
+
+def _assert_greedy_is_the_scan(msgs, radius: float, start: complex) -> None:
+    assert (_bits(tspn._greedy_stops_float(msgs, radius, start))
+            == _bits(_scan_greedy_stops(msgs, radius, start)))
+
+
+def test_float_greedy_matches_the_full_scan_on_random_batches():
+    side = math.sqrt(60.0)
+    rng = np.random.default_rng(2027)
+    for radius in (0.0, 0.01, 2.24):
+        for n in [1, 2, 3, tspn._FLOAT_GREEDY_MAX,
+                  *(int(v) for v in rng.integers(1, 97, 12))]:
+            for clustered in (False, True):
+                if clustered:
+                    msgs = _clustered_messages(rng, n, side, radius)
+                else:
+                    msgs = _random_messages(rng, n, side)
+                start = uniform_point(rng, side)
+                _assert_greedy_is_the_scan(msgs, radius, start)
+
+
+def test_float_greedy_matches_the_full_scan_on_constructed_batches():
+    u = math.ulp(5.0)
+    cases = [
+        # duplicate locations, served together, out of the start's reach
+        ([(3.0, 4.0), (3.0, 4.0), (-3.0, 4.0), (3.0, 4.0)], 1.0, 0j),
+        # duplicates inside the start's disk, the nearest not the first
+        ([(1.5, 0.0), (0.5, 0.0), (0.5, 0.0), (9.0, 0.0)], 2.0, 0j),
+        # a message exactly at the radius from the start: served there
+        ([(6.0, 0.0), (2.0, 0.0), (0.0, -2.0)], 2.0, 0j),
+        # several messages in range of one stop, around the first one
+        ([(5.0, 0.0), (6.0, 0.5), (6.0, -0.5), (6.5, 0.0), (20.0, 0.0)],
+         1.0, 0j),
+        # distances one ulp apart whose excess rounds to the same float:
+        # the first of least excess is the farther message, not the nearest
+        ([(5.0 + 2 * u, 0.0), (5.0 + u, 0.0)], 1.5 * u, 0j),
+        # one ulp apart, excesses apart: the nearest one
+        ([(5.0 + u, 0.0), (5.0, 0.0)], 1.5 * u, 0j),
+    ]
+    for points, radius, start in cases:
+        _assert_greedy_is_the_scan(_messages(points), radius, start)
+    # the tie case is one: both excesses round to 5.0
+    assert (5.0 + 2 * u) - 1.5 * u == (5.0 + u) - 1.5 * u == 5.0
+    stops = tspn._greedy_stops_float(_messages(cases[-2][0]), 1.5 * u, 0j)[0]
+    assert stops[0][1][0] == 0
+
+
 def _stop_points(rng, n: int, lattice: bool) -> list[complex]:
     if lattice:
         # many equal gains, so the first-maximum rule decides the move
@@ -565,17 +637,28 @@ def _counting_cover(monkeypatch) -> list[int]:
     return calls
 
 
+def _cover_bounds(msgs, grid, start: complex) -> tuple[float, float]:
+    """The two lower bounds on the cover's length: out to the farthest
+    nonempty cell center and back, and one cell side per nonempty cell when
+    there are two or more."""
+    cells = {grid.cell_of(m.location) for m in msgs}
+    reach = max(distance(start, grid.cell_center(c)) for c in cells)
+    count = len(cells) * grid.cell_side if len(cells) > 1 else 0.0
+    return 2.0 * reach, count
+
+
 def _cover_bound_holds(msgs, grid, radius: float, start: complex) -> bool:
-    reach = max(distance(start, grid.cell_center(grid.cell_of(m.location)))
-                for m in msgs)
     greedy = nn_tspn_tour(msgs, radius, start)
-    return greedy.total_length < 2.0 * reach * (1.0 - 1e-9)
+    return greedy.total_length < (1.0 - 1e-9) * max(
+        _cover_bounds(msgs, grid, start))
 
 
 def test_cover_skip_plans_what_planning_both_does(monkeypatch):
     calls = _counting_cover(monkeypatch)
     rng = np.random.default_rng(1919)
-    skipped = called = 0
+    # skipped by the far bound alone, by the cell-count bound alone, and
+    # planned, losing and winning
+    seen = {"far": 0, "count": 0, "tspn": 0, "grid_cover": 0}
     for area, radius in ((60.0, 2.24), (200.0, 2.2), (800.0, 2.24)):
         grid = build_grid(area, radius)
         for _ in range(40):
@@ -588,9 +671,30 @@ def test_cover_skip_plans_what_planning_both_does(monkeypatch):
             tour = plan_tour(msgs, grid, radius, start)
             assert len(calls) == (0 if skip else 1), (area, n)
             assert tour == _plan_both(msgs, grid, radius, start), (area, n)
-            skipped += skip
-            called += not skip
-    assert skipped > 0 and called > 0
+            if not skip:
+                seen[tour.method] += 1
+                continue
+            # the tour is the greedy one: which bound alone rules out the cover
+            far, count = (tour.total_length < (1.0 - 1e-9) * bound
+                          for bound in _cover_bounds(msgs, grid, start))
+            if far != count:
+                seen["far" if far else "count"] += 1
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("area", [60.0, 200.0, 800.0])
+def test_cover_is_never_shorter_than_its_bounds(area):
+    # radii giving odd and even k on each area
+    grids = [build_grid(area, radius) for radius in (1.5, 2.24, 2.6)]
+    assert {g.cells_per_side % 2 for g in grids} == {0, 1}
+    rng = np.random.default_rng(int(area))
+    for grid in grids:
+        for n in [2, 3, 200, *(int(v) for v in rng.integers(2, 201, 20))]:
+            msgs = _random_messages(rng, n, grid.side)
+            for start in (grid.center, uniform_point(rng, grid.side)):
+                cover = grid_cover_tour(msgs, grid, start).total_length
+                assert cover >= (1 - 1e-9) * max(
+                    _cover_bounds(msgs, grid, start)), n
 
 
 def test_one_message_in_the_start_cell_keeps_the_cover(monkeypatch):
@@ -623,10 +727,14 @@ def test_batch_in_the_farthest_cells_only(monkeypatch):
         assert len(calls) == (0 if skip else 1), count
         assert tour == _plan_both(msgs, grid, 2.24, start), count
     # one far corner: the greedy tour stops short of it, so the cover loses
-    # without being planned; all four: the greedy tour is longer than the
-    # bound, so the cover is planned, and loses
+    # without being planned, on the far bound; all four: the greedy tour is
+    # longer than the far bound but shorter than four cell sides, so the
+    # cell-count bound alone skips the cover
+    greedy = nn_tspn_tour(msgs, 2.24, start).total_length
+    far, count = _cover_bounds(msgs, grid, start)
+    assert _cover_bounds(msgs[:1], grid, start)[1] == 0.0
     assert _cover_bound_holds(msgs[:1], grid, 2.24, start)
-    assert not _cover_bound_holds(msgs, grid, 2.24, start)
+    assert far < greedy < (1.0 - 1e-9) * count
     assert tour.method == "tspn"
 
 
