@@ -257,45 +257,54 @@ class Simulation:
         values, draw = self.draws.values, self.draws.draw
         if not values:
             draw()
-        self.next_arrival_time = mean_gap * values[0]
+        drawn = len(values)
+        self.next_arrival_time = next_arrival = mean_gap * values[0]
         # looked up here, not at import, so a patched module attribute holds
         step, on_arrival = step_policy, policy.on_arrival
         target, threshold = self.stop.max_messages, self.divergence_threshold
         speed, reception_time = self.config.speed, self.config.reception_time
         messages, completed, collectors = (self.messages, self.completed,
                                            self.collectors)
+        # kept in locals, written back where policies read them: the clock
+        # and the next arrival on every change, the distance at the end
+        arrived = finished = 0
+        travelled = 0.0
         heap, seq = [], itertools.count()
         # the next arrival is drawn ahead and kept outside the heap, so only
         # the stop rule ends the run; heap events at its instant go first
         while True:
-            if heap and heap[0][0] <= self.next_arrival_time:
+            if heap and heap[0][0] <= next_arrival:
                 time, kind, _, ref = heappop(heap)
             else:
-                time, ref = self.next_arrival_time, -1
+                time, ref = next_arrival, -1
             self.time = time
             if ref < 0:
-                k = 3 * len(messages)
-                msg = Message(len(messages), time,
+                k = 3 * arrived
+                msg = Message(arrived, time,
                               complex(side * values[k + 1],
                                       side * values[k + 2]))
                 messages.append(msg)
-                if k + 3 == len(values):
+                arrived += 1
+                if k + 3 == drawn:
                     draw()
-                self.next_arrival_time = time + mean_gap * values[k + 3]
+                    drawn += 3
+                self.next_arrival_time = next_arrival = (time + mean_gap
+                                                         * values[k + 3])
                 on_arrival(self, msg)
                 scan = collectors
             elif kind == _TRAVEL_DONE:
                 c = collectors[ref]
-                self.total_travel_distance += c.leg
+                travelled += c.leg
                 c.position, c.target, c.phase = c.target, None, "idle"
                 scan = (c,)
             else:
                 msg = messages[ref]
                 msg.departure_time = time
                 completed.append(msg)
+                finished += 1
                 c = collectors[msg.collector]
                 c.phase = "idle"
-                if len(completed) >= target:
+                if finished >= target:
                     end_time = time
                     break
                 scan = (c,)
@@ -305,8 +314,8 @@ class Simulation:
                 action = step(policy, self, c.id)
                 if isinstance(action, TravelTo):
                     leg = action.length
-                    if leg is None:
-                        leg = distance(c.position, action.target)
+                    if leg is None:  # the straight line: core.distance
+                        leg = abs(c.position - action.target)
                     c.phase, c.target = "traveling", action.target
                     c.leg, c.leg_start = leg, time
                     heappush(heap, (time + leg / speed, _TRAVEL_DONE,
@@ -317,10 +326,11 @@ class Simulation:
                     c.phase = "receiving"
                     heappush(heap, (time + reception_time, _RECEPTION_DONE,
                                     next(seq), msg.id))
-            if ref < 0 and len(messages) - len(completed) > threshold:
+            if ref < 0 and arrived - finished > threshold:
                 self.diverged = True
                 end_time = time
                 break
+        self.total_travel_distance = travelled
         self._bill_legs_in_flight(end_time)
         return EventTrace(self.config, messages, completed,
                           self.total_travel_distance, end_time, self.diverged)
@@ -350,8 +360,8 @@ def step_policy(policy: Policy, sim: Simulation, collector_id: int) -> Action:
                 f"radius {sim.radius:.6g})")
     elif isinstance(action, TravelTo):
         if action.length is not None:
-            straight = distance(sim.collectors[collector_id].position,
-                                action.target)
+            straight = abs(sim.collectors[collector_id].position
+                           - action.target)  # core.distance
             # k collinear hops can sum one ulp short of the direct hypot
             if not action.length >= straight * (1.0 - 1e-12):
                 raise ContractViolation(

@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections import deque
 from enum import Enum
 
+# in_range is not called here; it stays importable as policies.in_range,
+# which perfbench/spans.py patches
 from .commmodel import in_range, reception_point
 from .core import (ConfigurationError, Message, RegionGrid,
                    ScenarioConfig, build_grid, distance, fleet_side)
@@ -43,11 +45,14 @@ class Fcfs:
     def next_action(self, sim: Simulation, collector_id: int) -> Action:
         if not self.queue:
             return WAIT
-        collector = sim.collectors[collector_id]
-        target = sim.messages[self.queue[0]].location
-        if in_range(collector.position, target, sim.radius):
+        position = sim.collectors[collector_id].position
+        point = reception_point(position, sim.messages[self.queue[0]].location,
+                                sim.radius)
+        # reception_point returns its collector argument itself exactly when
+        # in_range holds
+        if point is position:
             return Receive(self.queue.popleft())
-        return TravelTo(reception_point(collector.position, target, sim.radius))
+        return TravelTo(point)
 
 
 class FcfsReturn(Fcfs):
@@ -59,12 +64,14 @@ class FcfsReturn(Fcfs):
     def attach(self, sim: Simulation) -> None:
         super().attach(sim)
         self._return_due = False
+        # one shared action, as WAIT: actions are frozen values
+        self._to_center = TravelTo(self.center)
 
     def next_action(self, sim: Simulation, collector_id: int) -> Action:
         if self._return_due:
             self._return_due = False
-            return TravelTo(self.center)
-        action = super().next_action(sim, collector_id)
+            return self._to_center
+        action = Fcfs.next_action(self, sim, collector_id)
         self._return_due = isinstance(action, Receive)
         return action
 
@@ -146,6 +153,7 @@ class GridPartitioning:
         self.lap = sum(self.hops)
         self.queued = 0
         self.cursor = 0
+        self.speed = sim.config.speed
         sim.collectors[self.collector_id].position = self.stops[0][0]
 
     def on_arrival(self, sim: Simulation, msg: Message) -> None:
@@ -159,7 +167,7 @@ class GridPartitioning:
         if queue:
             self.queued -= 1
             return Receive(queue.popleft())
-        speed = sim.config.speed
+        speed = self.speed
         start = sim.time
         arrival = sim.next_arrival_time
         length = 0.0
@@ -171,9 +179,10 @@ class GridPartitioning:
             laps = int((arrival - start) / lap_time) - 1
             if laps > 0:
                 length = laps * self.lap
+        last = len(stops) - 1
         while True:
             length += self.hops[cursor]
-            cursor = (cursor + 1) % len(stops)
+            cursor = cursor + 1 if cursor < last else 0
             if stops[cursor][1] or start + length / speed > arrival:
                 break
         self.cursor = cursor

@@ -100,6 +100,7 @@ def test_reception_point_geometry(collector, msg, radius):
         # one in-disk rule: a collector in range stays where it is
         assert p is collector
     else:
+        assert p is not collector
         # lands on the disk boundary...
         assert distance(p, msg) == pytest.approx(radius, rel=1e-9)
         # ...on the straight segment between collector and message

@@ -160,6 +160,38 @@ def test_leg_end_goes_before_an_arrival_at_the_same_instant():
     assert trace.total_travel_distance == 1.0
 
 
+class _OneLegObjectTwice:
+    """Returns one TravelTo object on its first two decisions, a closed path
+    of length 1.5 from the center, then receives message 0; logs the time
+    of each decision."""
+
+    name = "one leg object"
+
+    def attach(self, sim):
+        self.leg = TravelTo(sim.config.center, 1.5)
+        self.asked = []
+
+    def on_arrival(self, sim, msg):
+        pass
+
+    def next_action(self, sim, collector_id):
+        self.asked.append(sim.time)
+        return self.leg if len(self.asked) <= 2 else Receive(0)
+
+
+def test_one_action_object_can_be_returned_twice():
+    # actions are frozen values, so a policy may hand the engine the same
+    # object again: both legs run, from 1 to 2.5 and from 2.5 to 4
+    cfg = reception_queue_config(0.5, seed=0)
+    policy = _OneLegObjectTwice()
+    sim = Simulation(cfg, policy, StopRule(max_messages=1))
+    sim.draws = _scripted_draws([1.0])
+    trace = sim.run()
+    assert policy.asked == [1.0, 2.5, 4.0]
+    assert trace.total_travel_distance == 2 * policy.leg.length
+    assert trace.end_time == 5.0
+
+
 # -- dispatch order ----------------------------------------------------------------
 
 

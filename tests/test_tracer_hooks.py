@@ -69,9 +69,12 @@ def test_tracer_hooks_fire_on_a_cli_run(tmp_path, monkeypatch):
 def test_tracer_hooks_fire_on_fcfs(tmp_path, monkeypatch):
     tracer = _traced_cli_run(tmp_path, monkeypatch, "fcfs")
     assert tracer.counts["action.TravelTo"] > 0
-    # fcfs also tests the range itself before each reception and each leg
+    # fcfs decides by reception_point alone, once per decision: every range
+    # check comes from the engine's contract check
     receptions = tracer.counts["action.Receive"]
-    assert tracer.counts["commmodel.in_range"] > receptions
+    assert tracer.counts["commmodel.in_range"] == receptions
+    assert tracer.counts["commmodel.reception_point"] == tracer.calls(
+        "policies.next_action") - tracer.counts["action.Wait"]
 
 
 def test_tracer_hooks_fire_on_a_fleet(tmp_path, monkeypatch):
