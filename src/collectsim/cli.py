@@ -311,10 +311,12 @@ def _run_cell(job) -> TraceStats:
 
 
 def run_cells(jobs, parallel: int = 1) -> list[TraceStats]:
-    """Summarise each ``(config, kind, stop, warmup)`` job, in order.
-    Consecutive jobs of one seed in a thread, or in a ``parallel`` worker,
-    replay one set of arrival draws (see ``engine.Simulation``); this
-    thread's are dropped when the call returns."""
+    """Summarise each ``(config, kind, stop, warmup)`` job; the summaries
+    come back in job order. The jobs run seed by seed, in the given order
+    within a seed, so that consecutive jobs of one seed in a thread, or in a
+    ``parallel`` worker, replay one set of arrival draws (see
+    ``engine.Simulation``); this thread's are dropped when the call returns."""
+    order = sorted(range(len(jobs)), key=lambda i: jobs[i][0].seed)
     try:
         if parallel > 1 and len(jobs) > 1:
             # imported here: it loads multiprocessing, which serial calls skip
@@ -322,10 +324,14 @@ def run_cells(jobs, parallel: int = 1) -> list[TraceStats]:
             # under fork the pool starts all its workers at the first submit
             workers = min(parallel, len(jobs))
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(_run_cell, jobs, chunksize=1))
-        return [_run_cell(job) for job in jobs]
+                parts = list(pool.map(_run_cell, [jobs[i] for i in order],
+                                      chunksize=1))
+        else:
+            parts = [_run_cell(jobs[i]) for i in order]
     finally:
         forget_arrivals()
+    by_job = dict(zip(order, parts))
+    return [by_job[i] for i in range(len(jobs))]
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
@@ -333,18 +339,17 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
     """Simulate every (policy, load, seed) cell, pool seeds, and write
     results.csv with one row per (policy, load)."""
     cells = [(kind, load) for kind in spec.policies for load in spec.loads]
-    # seed by seed, so that the cells of a seed share its arrival draws
     jobs = [(scenario_config(spec, load, seed), kind,
              StopRule(max_messages=spec.messages), spec.warmup)
-            for seed in spec.seeds for kind, load in cells]
+            for kind, load in cells for seed in spec.seeds]
     parts = run_cells(jobs, parallel)
 
-    # run_cells keeps job order, so cell i's seeds are every len(cells)-th
-    # part from part i on
+    # run_cells keeps job order, so each cell's seeds are consecutive parts
+    n = len(spec.seeds)
     lines = [",".join(RESULT_COLUMNS)]
     for i, (kind, load) in enumerate(cells):
-        pooled = pool_stats(parts[i::len(cells)])
-        report = bound_report(scenario_config(spec, load, spec.seeds[0]))
+        cell = parts[i * n:(i + 1) * n]
+        pooled, report = pool_stats(cell), bound_report(cell[0].config)
         lines.append(",".join(_result_cells(kind.value, load, pooled, report)))
     out = Path(out_dir) / "results.csv"
     atomic_write_text(out, "\n".join(lines) + "\n")

@@ -197,9 +197,10 @@ class Simulation:
     each arrival comes E / arrival_rate after the one before (the first,
     after time 0) at ``complex(side * x, side * y)``, for its draws
     (E, x, y). A thread keeps its latest seed's draws until a run of
-    another seed or the end of a ``cli.run_cells`` call, so consecutive runs
-    of one seed replay one set of draws, in ``--parallel`` workers too; a
-    run's results do not depend on which other runs shared them."""
+    another seed or the end of a ``cli.run_cells`` call, which runs its jobs
+    seed by seed, so consecutive runs of one seed replay one set of draws,
+    in ``--parallel`` workers too; a run's results do not depend on which
+    other runs shared them."""
 
     def __init__(self, config: ScenarioConfig, policy: Policy,
                  stop: StopRule) -> None:

@@ -13,7 +13,9 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from operator import attrgetter
 
+from .core import ScenarioConfig
 from .engine import EventTrace
 
 # below this many post-warmup messages (20 batches of 50) estimates are not
@@ -47,7 +49,7 @@ class SimResult:
 class TraceStats:
     """Compact per-trace summary sufficient for pooled estimation."""
 
-    seed: int
+    config: ScenarioConfig
     kept: int
     delay_batches: tuple[float, ...]
     travel_batches: tuple[float, ...]
@@ -57,9 +59,6 @@ class TraceStats:
     receiving_time: float
     end_time: float
     verdict: str
-    arrival_rate: float
-    reception_time: float
-    collectors: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -273,9 +272,8 @@ def trace_stats(trace: EventTrace, warmup_fraction: float = 0.2) -> TraceStats:
     t0 = float(departures[done[n_warm - 1]]) if n_warm > 0 else 0.0
     t1 = max(trace.end_time, t0)
     slices = _occupancy_slice_means(occ, t0, t1, BATCHES)
-    cfg = trace.config
     return TraceStats(
-        seed=cfg.seed,
+        config=trace.config,
         kept=len(kept),
         delay_batches=_batch_means(delays),
         travel_batches=_batch_means(travel[kept]),
@@ -285,9 +283,6 @@ def trace_stats(trace: EventTrace, warmup_fraction: float = 0.2) -> TraceStats:
         receiving_time=receiving,
         end_time=trace.end_time,
         verdict=verdict,
-        arrival_rate=cfg.arrival_rate,
-        reception_time=cfg.reception_time,
-        collectors=cfg.collectors,
     )
 
 
@@ -311,11 +306,10 @@ def pool_stats(parts: list[TraceStats]) -> SimResult:
     import numpy as np
     if not parts:
         raise ValueError("nothing to pool")
-    first = parts[0]
-    for p in parts[1:]:
-        if (p.arrival_rate, p.reception_time, p.collectors) != (
-                first.arrival_rate, first.reception_time, first.collectors):
-            raise ValueError("pooled replications must share a scenario")
+    first = parts[0].config
+    scenario = attrgetter("arrival_rate", "reception_time", "collectors")
+    if any(scenario(p.config) != scenario(first) for p in parts[1:]):
+        raise ValueError("pooled replications must share a scenario")
     mean_delay, delay_ci = _pooled_ci(p.delay_batches for p in parts)
     mean_travel, travel_ci = _pooled_ci(p.travel_batches for p in parts)
     mean_service, service_ci = _pooled_ci(p.service_batches for p in parts)
@@ -345,7 +339,7 @@ def pool_stats(parts: list[TraceStats]) -> SimResult:
         rho_measured=rho_measured,
         stability=stability,
         messages_counted=sum(p.kept for p in parts),
-        seeds=tuple(p.seed for p in parts),
+        seeds=tuple(p.config.seed for p in parts),
         arrival_rate=first.arrival_rate,
         collectors=first.collectors,
     )

@@ -326,7 +326,7 @@ def nn_tspn_tour(messages: Sequence, radius: float, start: complex) -> Tour:
 
 
 def plan_tour(messages: Sequence, grid: RegionGrid, radius: float,
-              start: complex | None = None) -> Tour:
+              start: complex) -> Tour:
     """Plan the shorter of the grid sweep and the greedy disk tour, the sweep
     on ties. The sweep is at least twice as long as its farthest cell center
     is from the start, and at least one cell side per cell when it visits two
@@ -334,8 +334,6 @@ def plan_tour(messages: Sequence, grid: RegionGrid, radius: float,
     edges at the start are together no shorter than the hop they replace. It
     is not planned where the greedy tour is shorter than the larger bound,
     less a 1e-9 relative margin for round-off."""
-    if start is None:
-        start = grid.center
     if not messages:
         return Tour((), 0.0, start, "empty")
     greedy = nn_tspn_tour(messages, radius, start)

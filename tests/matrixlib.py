@@ -138,26 +138,21 @@ MATRIX = (
 
 def build_matrix() -> list[Cell]:
     """Run every sweep cell the acceptance tests share: one job per
-    (cell, seed), all through the CLI's ``run_cells`` on every CPU, seed by
-    seed, so that a worker's consecutive jobs of one seed replay its arrival
-    draws."""
+    (cell, seed), all in one ``run_cells`` call on every CPU."""
     cells = [(scenario, kind, load, seeds,
               [(builder(load, seed), kind,
                 StopRule(max_messages=budget, divergence_threshold=threshold),
                 WARMUP) for seed in seeds])
              for scenario, builder, kind, loads, seeds, budget, threshold
              in MATRIX for load in loads]
-    flat = [job for *_, jobs in cells for job in jobs]
-    order = sorted(range(len(flat)), key=lambda i: flat[i][0].seed)
-    by_job = dict(zip(order, run_cells([flat[i] for i in order],
-                                       parallel=os.cpu_count() or 1)))
-    parts = iter(by_job[i] for i in range(len(flat)))
+    parts = iter(run_cells([job for *_, jobs in cells for job in jobs],
+                           parallel=os.cpu_count() or 1))
     out = []
     for scenario, kind, load, seeds, jobs in cells:
         cell_parts = tuple(next(parts) for _ in jobs)
         out.append(Cell(scenario=scenario, policy=kind.value, load=load,
-                        seeds=seeds, config=jobs[0][0], parts=cell_parts,
-                        result=pool_stats(cell_parts)))
+                        seeds=seeds, config=cell_parts[0].config,
+                        parts=cell_parts, result=pool_stats(cell_parts)))
     return out
 
 

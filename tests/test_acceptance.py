@@ -240,7 +240,8 @@ def test_criterion_07_tour_lengths_respect_caps():
     sizes += [5000, 5000, 8000, 8000, 10_000, 10_000, 10_000, 10_000]
     worst_plan = 0.0
     for count in sizes:
-        tour = plan_tour(_uniform_messages(rng, count, side), grid, radius)
+        tour = plan_tour(_uniform_messages(rng, count, side), grid, radius,
+                         grid.center)
         worst_plan = max(worst_plan, tour.total_length / cap)
     plan_ok = worst_plan <= 1.0 + 1e-9
 

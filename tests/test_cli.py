@@ -12,12 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from collectsim import cli
-from collectsim.cli import (BOUNDS_COLUMNS, KEYS, MESSAGE_COLUMNS,
-                            RESULT_COLUMNS, ExperimentSpec, atomic_write_text,
-                            bounds_table, build_spec, db_to_linear, dump_messages,
-                            load_spec, main, parse_config_text, run_cells,
-                            run_experiment, scenario_config, trace_run)
+from collectsim import cli, engine
+from collectsim.cli import (BOUND_COLUMNS, BOUNDS_COLUMNS, KEYS,
+                            MESSAGE_COLUMNS, RESULT_COLUMNS, ExperimentSpec,
+                            atomic_write_text, bounds_table, build_spec,
+                            db_to_linear, dump_messages, load_spec, main,
+                            parse_config_text, run_cells, run_experiment,
+                            scenario_config, trace_run)
 from collectsim.commmodel import reception_radius
 from collectsim.core import ConfigurationError
 from collectsim.engine import Simulation, StopRule, run as engine_run
@@ -281,10 +282,10 @@ def test_results_bound_columns_match_formulas(mini_results):
 def test_results_bound_columns_identical_across_policies(mini_results):
     _, path = mini_results
     _, rows = _read_csv(path)
-    bound_cols = RESULT_COLUMNS[17:]
+    assert RESULT_COLUMNS[-len(BOUND_COLUMNS):] == BOUND_COLUMNS
     by_load: dict[str, list] = {}
     for r in rows:
-        by_load.setdefault(r["load"], []).append([r[c] for c in bound_cols])
+        by_load.setdefault(r["load"], []).append([r[c] for c in BOUND_COLUMNS])
     for load, cells in by_load.items():
         assert all(c == cells[0] for c in cells[1:]), load
 
@@ -334,16 +335,16 @@ def test_run_cells_parallel_equals_serial():
     jobs.append((case2_config(1.1, 4), PolicyKind.FCFS,
                  StopRule(max_messages=1200, divergence_threshold=30.0), 0.2))
     serial = run_cells(jobs, parallel=1)
-    assert [p.seed for p in serial] == [1, 2, 3, 4]
+    assert [p.config.seed for p in serial] == [1, 2, 3, 4]
     assert serial[-1].verdict == "diverged"
     assert run_cells(jobs, parallel=2) == serial
 
 
 def test_run_cells_sharing_draws_equals_each_job_alone():
-    # the case2 sweep's cells over two seeds: seed by seed, as
-    # run_experiment orders them, the cells of a seed replay one set of
-    # arrival draws; cell by cell the seeds alternate and each job draws
-    # anew. Either way every summary is that of the job run on its own
+    # the case2 sweep's cells over two seeds, listed seed by seed and cell
+    # by cell: either way run_cells runs the cells of a seed back to back,
+    # replaying one set of arrival draws, and every summary is that of the
+    # job run on its own
     policies = (PolicyKind.GRID_PARTITIONING, PolicyKind.FCFS,
                 PolicyKind.FCFS_RETURN)
     jobs = [(case2_config(load, seed), kind, StopRule(max_messages=1500), 0.2)
@@ -356,6 +357,26 @@ def test_run_cells_sharing_draws_equals_each_job_alone():
         batch, expected = [jobs[i] for i in ordered], [alone[i] for i in ordered]
         assert run_cells(batch) == expected
         assert run_cells(batch, parallel=2) == expected
+
+
+def test_run_cells_runs_jobs_seed_by_seed(monkeypatch):
+    # cell by cell, as run_experiment lists them: the six jobs draw the
+    # arrivals of each of their two seeds once, and come back in job order
+    made = []
+    init = engine.ArrivalDraws.__init__
+
+    def counted(self, seed):
+        made.append(seed)
+        init(self, seed)
+
+    monkeypatch.setattr(engine.ArrivalDraws, "__init__", counted)
+    jobs = [(case2_config(load, seed), PolicyKind.GRID_PARTITIONING,
+             StopRule(max_messages=500), 0.2)
+            for load in (0.3, 0.5, 0.8) for seed in (1, 2)]
+    parts = run_cells(jobs)
+    assert made == [1, 2]
+    assert [p.config.seed for p in parts] == [1, 2, 1, 2, 1, 2]
+    assert run_cells(jobs, parallel=2) == parts
 
 
 def _draws_anew(config) -> bool:

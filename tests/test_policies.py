@@ -399,8 +399,9 @@ def test_grid_sweep_parks_at_infinite_speed_when_empty():
         assert abs(travel[m.id]) <= 1e-9
 
 
-def test_grid_sweep_is_busy_from_first_arrival_to_horizon():
-    # the leg in flight at the run's end (its horizon) is billed up to it
+def test_grid_sweep_is_busy_from_first_arrival_to_cutoff():
+    # the leg in flight when the occupancy cutoff stops the run is billed
+    # up to the run's end
     cfg = _two_by_two_config(0.01, seed=12)
     sim = Simulation(cfg, make_policy("grid_partitioning", cfg),
                      _CYCLING_STOP)

@@ -198,7 +198,7 @@ def _diverged_trace():
     return trace
 
 
-def _horizon_trace():
+def _message_target_trace():
     # the message target leaves five arrived messages unfinished at the end
     cfg = case2_config(0.8, seed=3)
     trace = run(cfg, make_policy("grid_partitioning", cfg),
@@ -208,7 +208,7 @@ def _horizon_trace():
 
 
 @pytest.mark.parametrize("make_trace", [
-    _fleet_trace_with_ties, _diverged_trace, _horizon_trace])
+    _fleet_trace_with_ties, _diverged_trace, _message_target_trace])
 def test_occupancy_matches_event_replay(make_trace):
     messages = make_trace().messages
     assert _rebuilt_occupancy(messages) == _replay_occupancy(messages)
@@ -264,9 +264,11 @@ def _split_cases():
                              "multi_partitioning", done),
         "fleet9_inf_speed": (replace(fleet9, speed=math.inf),
                              "multi_partitioning", done),
-        # stopped at an arrival, after 972 messages, mid-reception
-        "horizon": (case2_config(0.7, seed=7), "fcfs",
-                    StopRule(max_messages=5000, divergence_threshold=10)),
+        # the occupancy cutoff stops it at an arrival, after 972 messages,
+        # mid-reception
+        "cutoff_mid_reception": (
+            case2_config(0.7, seed=7), "fcfs",
+            StopRule(max_messages=5000, divergence_threshold=10)),
         "divergence": (case2_config(0.95, seed=8), "grid_partitioning",
                        StopRule(max_messages=5000, divergence_threshold=20)),
     }
@@ -276,7 +278,7 @@ def _split_cases():
 def test_wait_split_matches_brute_force_overlaps(case):
     cfg, kind, stop = _split_cases()[case]
     trace = run(cfg, make_policy(kind, cfg), stop)
-    if case == "horizon":
+    if case == "cutoff_mid_reception":
         assert any(m.reception_start is not None and m.departure_time is None
                    for m in trace.messages)
     if case == "divergence":

@@ -214,7 +214,7 @@ def test_nn_tour_invariants_random():
 def test_plan_tour_prefers_direct_approach_for_one_far_message():
     grid = build_grid(200.0, 2.2)
     msgs = _messages([(13.0, 13.0)])
-    tour = plan_tour(msgs, grid, 2.2)
+    tour = plan_tour(msgs, grid, 2.2, grid.center)
     cell_center = grid.cell_center(grid.cell_of(msgs[0].location))
     d = distance(grid.center, msgs[0].location)
     assert tour.method == "tspn"
@@ -228,7 +228,7 @@ def test_plan_tour_never_beats_its_components():
     for _ in range(10):
         n = int(rng.integers(1, 400))
         msgs = _random_messages(rng, n, grid.side)
-        tour = plan_tour(msgs, grid, 2.2)
+        tour = plan_tour(msgs, grid, 2.2, grid.center)
         cover = grid_cover_tour(msgs, grid, grid.center)
         greedy = nn_tspn_tour(msgs, 2.2, grid.center)
         assert tour.total_length == pytest.approx(
@@ -238,7 +238,7 @@ def test_plan_tour_never_beats_its_components():
 
 def test_plan_tour_empty():
     grid = build_grid(200.0, 2.2)
-    tour = plan_tour([], grid, 2.2)
+    tour = plan_tour([], grid, 2.2, grid.center)
     assert tour.method == "empty"
     assert tour.total_length == 0.0
 
@@ -249,7 +249,7 @@ def test_plan_tour_length_capped_even_for_huge_batches():
     rng = np.random.default_rng(4)
     for n in (1000, 10_000):
         msgs = _random_messages(rng, n, grid.side)
-        tour = plan_tour(msgs, grid, 2.2)
+        tour = plan_tour(msgs, grid, 2.2, grid.center)
         assert tour.total_length <= cap + 1e-9
 
 
