@@ -35,7 +35,8 @@ def distance(a: complex, b: complex) -> float:
 
 def uniform_point(rng, side: float) -> complex:
     """Draw a uniform random point on the square [0, side]^2: x first, then
-    y. The engine's arrival draws take their points from here."""
+    y. ``engine.ArrivalDraws`` makes these calls inline, to the same values
+    at side 1.0, as 1.0 * u == u."""
     return complex(side * rng.random(), side * rng.random())
 
 

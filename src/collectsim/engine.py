@@ -20,13 +20,14 @@ from typing import Protocol
 
 from .commmodel import in_range, reception_radius
 from .core import (ConfigurationError, ContractViolation, Message,
-                   ScenarioConfig, distance, uniform_point)
+                   ScenarioConfig, distance)
 
 # heap events are (time, kind, seq, ref): ref is the collector of a travel
 # leg and the message of a reception. Kinds double as tie ranks: receptions
 # end before travel legs that share a timestamp
 _RECEPTION_DONE = 0
 _TRAVEL_DONE = 1
+_DRAW_BLOCK = 64  # arrivals per draw(); 16 and 256 cost about the same
 
 
 # --------------------------------------------------------------------------
@@ -143,13 +144,13 @@ class EventTrace:
 
 
 class ArrivalDraws:
-    """The arrival draws of one seed: per arrival a standard exponential gap,
-    then a point of the unit square from ``uniform_point``, drawn from
-    ``default_rng(seed)`` one arrival at a time, when a run first needs it.
-    ``values`` keeps them flat, three per arrival. A run scales them by its
-    own mean gap and side, so every run of a seed sees the same draws,
-    whatever its rate or policy. A thread keeps its latest seed's draws
-    until a run of another seed or ``forget_arrivals``."""
+    """The arrival draws of one seed from ``default_rng(seed)``: per arrival
+    a standard exponential gap, then x and y, the two draws and values of
+    ``uniform_point(rng, 1.0)``, _DRAW_BLOCK arrivals at a time when a run
+    first needs one. ``values`` keeps them flat, three per arrival. A run
+    scales them by its own mean gap and side, so every run of a seed sees
+    the same draws, whatever its rate or policy. A thread keeps its latest
+    seed's draws until a run of another seed or ``forget_arrivals``."""
 
     __slots__ = ("seed", "values", "_rng")
 
@@ -160,11 +161,11 @@ class ArrivalDraws:
         self._rng = default_rng(seed)
 
     def draw(self) -> None:
-        """Append the next arrival's gap and point."""
-        rng = self._rng
-        gap = rng.standard_exponential()
-        point = uniform_point(rng, 1.0)
-        self.values.extend((gap, point.real, point.imag))
+        """Append the next _DRAW_BLOCK arrivals' gaps and points."""
+        gap, coordinate = self._rng.standard_exponential, self._rng.random
+        extend = self.values.extend
+        for _ in range(_DRAW_BLOCK):
+            extend((gap(), coordinate(), coordinate()))
 
 
 # the draws of the latest seed simulated in this thread: a context variable,
@@ -288,7 +289,7 @@ class Simulation:
                 arrived += 1
                 if k + 3 == drawn:
                     draw()
-                    drawn += 3
+                    drawn = len(values)
                 self.next_arrival_time = next_arrival = (time + mean_gap
                                                          * values[k + 3])
                 on_arrival(self, msg)

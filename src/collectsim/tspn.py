@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .commmodel import _RANGE_SLACK, reception_point
-from .core import RegionGrid, distance
+from .core import RegionGrid
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,6 +29,10 @@ class TourStop:
 
     point: complex
     message_ids: tuple[int, ...]
+
+    def __init__(self, point: complex, message_ids: tuple[int, ...]) -> None:
+        _set_point(self, point)  # through the slots, as engine.TravelTo
+        _set_message_ids(self, message_ids)
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,9 +44,20 @@ class Tour:
     start: complex
     method: str
 
+    def __init__(self, stops, total_length, start, method) -> None:
+        _set_stops(self, stops)  # through the slots, as TourStop
+        _set_total_length(self, total_length)
+        _set_start(self, start)
+        _set_method(self, method)
+
     @property
     def message_ids(self) -> tuple[int, ...]:
         return tuple(i for stop in self.stops for i in stop.message_ids)
+
+
+(_set_point, _set_message_ids, _set_stops, _set_total_length, _set_start,
+ _set_method) = (f.__set__ for f in (TourStop.point, TourStop.message_ids,
+                 Tour.stops, Tour.total_length, Tour.start, Tour.method))
 
 
 def tour_cap(grid: RegionGrid) -> float:
@@ -92,14 +107,14 @@ def grid_cover_tour(messages: Sequence, grid: RegionGrid,
     order = sorted(buckets, key=ranks.__getitem__)
     pts = [centers[cell] for cell in order]
     m = len(pts)
-    seg = [distance(pts[i], pts[(i + 1) % m]) for i in range(m)]
+    seg = [abs(pts[i] - pts[(i + 1) % m]) for i in range(m)]
     perimeter = sum(seg)
     best_j, best_len = 0, math.inf
     for j in range(m):
         # enter at pts[j], leave from pts[j-1]; the cyclic edge between them
         # is the one the start point replaces
         length = (perimeter - seg[j - 1]
-                  + distance(start, pts[j]) + distance(pts[j - 1], start))
+                  + abs(start - pts[j]) + abs(pts[j - 1] - start))
         if length < best_len - 1e-12:
             best_j, best_len = j, length
     stops = tuple(
@@ -142,6 +157,7 @@ def _greedy_stops_float(messages: Sequence, radius: float, start: complex
     zs = [m.location for m in messages]
     here = start
     dist = [abs(z - here) for z in zs]
+    least = min(dist, default=math.inf)
     length = 0.0
     stops: _Stops = []
     run: list[float] = []
@@ -150,7 +166,6 @@ def _greedy_stops_float(messages: Sequence, radius: float, start: complex
         # np.argmin picks it: the first of least distance, unless the next
         # float up rounds to the same excess. Within the radius any message
         # will do, as reception_point leaves the collector in place for each.
-        least = min(dist)
         if least <= radius or (math.nextafter(least, math.inf) - radius
                                > least - radius):
             k = dist.index(least)
@@ -159,23 +174,25 @@ def _greedy_stops_float(messages: Sequence, radius: float, start: complex
             k = next(q for q, d in enumerate(dist) if d - radius <= cut)
         point = reception_point(here, zs[k], radius)
         if point is not here:
-            length += distance(here, point)
+            length += abs(here - point)
             here = point
             dist = [abs(z - here) for z in zs]
-        # reception_point leaves k in range; scan for the others only if
-        # one is in range too
+        # reception_point leaves k in range; scan for the others only if one
+        # is in range too. The least of those left is the next stop's least
         aimed, dist[k] = dist[k], math.inf
-        if min(dist) > slack:
+        least = min(dist)
+        if least > slack:
             served = [k]
         else:
             dist[k] = aimed
             served = [q for q, d in enumerate(dist) if d <= slack]
+            least = min([d for d in dist if d > slack], default=math.inf)
         stops.append((here, [ids[q] for q in served]))
         run.append(length)
         # served messages leave the lists, the rest keep their order
         for q in reversed(served):
             del ids[q], zs[q], dist[q]
-    return stops, run, length + distance(here, start)
+    return stops, run, length + abs(here - start)
 
 
 def _greedy_stops_array(messages: Sequence, radius: float, start: complex
@@ -198,7 +215,7 @@ def _greedy_stops_array(messages: Sequence, radius: float, start: complex
         j = int(np.argmin(np.maximum(dist - radius, 0.0)))
         point = reception_point(here, aims[j], radius)
         if point is not here:
-            length += distance(here, point)
+            length += abs(here - point)
             here = point
             dist = np.hypot(xs - here.real, ys - here.imag)
         served = np.flatnonzero(dist <= slack)
@@ -207,7 +224,7 @@ def _greedy_stops_array(messages: Sequence, radius: float, start: complex
         left -= len(served)
         stops.append((here, [ids[i] for i in served]))
         run.append(length)
-    return stops, run, length + distance(here, start)
+    return stops, run, length + abs(here - start)
 
 
 def _two_opt_move(points: list[complex],
@@ -266,12 +283,18 @@ def _two_opt_move_array(points: list[complex],
         gains -= dist[1:, 1:]
         # row i takes j > i only
         m = hi - lo
-        gains[:, :m][np.tri(m, k=-1, dtype=bool)] = -np.inf
+        gains[:, :m][_below_diagonal(m)] = -np.inf
         k = int(np.argmax(gains))
         r, c = divmod(k, gains.shape[1])
         if gains[r, c] > best_gain:
             best_gain, best_move = gains[r, c], (lo + r, lo + 1 + c)
     return best_move
+
+
+@functools.lru_cache(maxsize=32)  # one mask per row count, only read
+def _below_diagonal(m: int):
+    import numpy as np
+    return np.tri(m, k=-1, dtype=bool)
 
 
 def _reproject(stops: _Stops, radius: float, start: complex, locate,
@@ -286,11 +309,11 @@ def _reproject(stops: _Stops, radius: float, start: complex, locate,
     for point, mids in stops[first:]:
         if len(mids) == 1:
             point = reception_point(prev, locate(mids[0]), radius)
-        total += distance(prev, point)
+        total += abs(prev - point)
         out.append((point, mids))
         run.append(total)
         prev = point
-    return out, run, total + distance(prev, start)
+    return out, run, total + abs(prev - start)
 
 
 def nn_tspn_tour(messages: Sequence, radius: float, start: complex) -> Tour:
@@ -321,7 +344,7 @@ def nn_tspn_tour(messages: Sequence, radius: float, start: complex) -> Tour:
             best, run, best_len = candidate, cand_run, cand_len
         else:
             break
-    tour_stops = tuple(TourStop(p, tuple(mids)) for p, mids in best)
+    tour_stops = tuple([TourStop(p, tuple(mids)) for p, mids in best])
     return Tour(tour_stops, best_len, start, "tspn")
 
 
@@ -339,7 +362,7 @@ def plan_tour(messages: Sequence, grid: RegionGrid, radius: float,
     greedy = nn_tspn_tour(messages, radius, start)
     centers = _cycle_tables(grid)[1]
     cells = {grid.cell_of(m.location) for m in messages}
-    bound = 2.0 * max(distance(start, centers[cell]) for cell in cells)
+    bound = 2.0 * max(abs(start - centers[cell]) for cell in cells)
     if len(cells) > 1:
         bound = max(bound, len(cells) * grid.cell_side)
     if greedy.total_length < (1.0 - 1e-9) * bound:

@@ -9,7 +9,9 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from collectsim.core import ConfigurationError, ContractViolation, distance
+from collectsim import engine
+from collectsim.core import (ConfigurationError, ContractViolation, distance,
+                             uniform_point)
 from collectsim.engine import (WAIT, ArrivalDraws, EventTrace, Receive,
                                Simulation, StopRule, TravelTo, Wait,
                                forget_arrivals, run, step_policy)
@@ -71,6 +73,42 @@ def test_simulation_arrivals_match_generator():
             assert msg.arrival_time == t
             assert msg.location == complex(x, y)
     assert kept[1] is kept[0]
+
+
+_B = engine._DRAW_BLOCK
+
+
+@pytest.mark.parametrize("seed", [0, 1, 31])
+def test_block_draws_are_the_scalar_stream(seed):
+    # drawn a block at a time, the values are still those of one
+    # standard_exponential and one uniform_point(rng, 1.0) per arrival
+    draws = ArrivalDraws(seed)
+    rng = np.random.default_rng(seed)
+    reference = []
+    for n in (1, _B - 1, _B, _B + 1, 3 * _B + 5):
+        while len(draws.values) < 3 * n:
+            draws.draw()
+        while len(reference) < 3 * n:
+            gap = rng.standard_exponential()
+            point = uniform_point(rng, 1.0)
+            reference += [gap, point.real, point.imag]
+        assert draws.values[:3 * n].tolist() == reference[:3 * n], n
+
+
+def test_a_run_after_one_that_ended_mid_block_matches_a_fresh_run():
+    cfg = case2_config(0.5, seed=3)
+    forget_arrivals()
+    short = Simulation(cfg, _grid_policy(cfg), StopRule(max_messages=100))
+    short.run()
+    arrived = len(short.messages)
+    assert arrived % _B and len(short.draws.values) > 3 * arrived
+    longer = StopRule(max_messages=700)
+    replayed = run(cfg, _grid_policy(cfg), longer)
+    forget_arrivals()
+    fresh = Simulation(cfg, _grid_policy(cfg), longer)
+    assert fresh.draws is not short.draws
+    assert fresh.run() == replayed
+    forget_arrivals()
 
 
 _ONE = StopRule(max_messages=1)

@@ -1,8 +1,10 @@
 """Closed-tour planners over message reception disks."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -53,6 +55,28 @@ def test_tour_cap_value():
 def test_tour_cap_single_cell():
     grid = build_grid(4.0, 4.0)
     assert tour_cap(grid) == pytest.approx(grid.cell_side)
+
+
+# -- tour records -----------------------------------------------------------------
+
+
+def test_tour_records_are_frozen_values():
+    stop = TourStop(complex(1.0, 2.0), (3, 4))
+    tour = Tour((stop, TourStop(3j, (5,))), 7.5, 0.5 + 0j, "tspn")
+    twin = Tour((TourStop(1.0 + 2.0j, (3, 4)), TourStop(3j, (5,))), 7.5,
+                0.5 + 0j, "tspn")
+    for record, field in ((stop, "point"), (tour, "total_length")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, 0.0)
+    assert (stop.point, stop.message_ids) == (1.0 + 2.0j, (3, 4))
+    assert (tour.stops[0], tour.total_length, tour.start, tour.method) == (
+        stop, 7.5, 0.5 + 0j, "tspn")
+    assert tour == twin and hash(tour) == hash(twin)
+    assert hash(stop) == hash(twin.stops[0]) and tour.message_ids == (3, 4, 5)
+    for record in (stop, tour):
+        assert dataclasses.replace(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record
+    assert dataclasses.replace(tour, method="grid_cover") != tour
 
 
 # -- grid sweep planner -----------------------------------------------------------
@@ -412,6 +436,10 @@ def test_float_greedy_matches_the_full_scan_on_constructed_batches():
         ([(6.0, 0.0), (2.0, 0.0), (0.0, -2.0)], 2.0, 0j),
         # several messages in range of one stop, around the first one
         ([(5.0, 0.0), (6.0, 0.5), (6.0, -0.5), (6.5, 0.0), (20.0, 0.0)],
+         1.0, 0j),
+        # a stop serving one message, then one serving two duplicates: the
+        # least distance kept from the pair's stop names a served message
+        ([(4.0, 0.0), (4.0, 0.0), (3.5, 0.0), (9.0, 0.0), (0.0, 7.0)],
          1.0, 0j),
         # distances one ulp apart whose excess rounds to the same float:
         # the first of least excess is the farther message, not the nearest
